@@ -6,16 +6,28 @@ rotation orbit returns to the same word with sign -1 vanish rationally and
 are omitted.  The algebra differential descends to the coinvariants, and
 reduced cyclic homology is the homology of the resulting complex.
 
+Rotating the first i letters (of total degree P_i) of a word of degree D to
+the back costs the sign (-1)^{P_i (D - P_i)}.  So a class dies exactly when
+P_p (D - P_p) is odd for the word's primitive period p, and a word is related
+to its least rotation by the sign at that rotation's offset.  In associative
+mode each class is represented by its least rotation (a necklace, letters
+compared by name), generated directly by a Fredricksen-Kessler-Maiorana
+prenecklace recursion (Ruskey & Sawada, SIAM J. Comput. 1999); in
+commutative mode every nonzero normalized word is alone in its class.
+
 Degree-0 generators are rejected: each graded piece must be a finite module.
+Degrees whose predicted class count exceeds ``CYCLIC_CLASS_LIMIT`` are
+refused with ``TooLarge`` before anything is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .dga import (
     DGA,
+    MODE_ASSOCIATIVE,
     AlgebraElement,
     ChainComplex,
     Coeff,
@@ -26,7 +38,12 @@ from .dga import (
     homology,
     word_basis,
 )
-from .errors import InfiniteBasis, NonComposable
+from .errors import InfiniteBasis, TooLarge
+
+# Largest predicted number of classes in one degree that cyclic_basis will
+# enumerate.  Boundary matrices are dense, so this caps each at 4 million
+# cells; the exact pair's window 0..19 (763 classes in degree 20) fits.
+CYCLIC_CLASS_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -41,34 +58,37 @@ class CyclicWord:
         return "[" + "*".join(self.word) + "]"
 
 
-def _rotations(dga: DGA, word: Word):
-    """Yield (rotated normalized word, sign) over one full cycle, or None if
-    the class dies (some rotation returns a word already seen with the
-    opposite sign)."""
-    seen: Dict[Word, int] = {}
-    current = word
-    sign = 1
-    for _ in range(len(word)):
-        if current in seen:
-            if seen[current] != sign:
-                return None
-            break
-        seen[current] = sign
-        first = current[0]
-        rest = current[1:]
-        koszul = -1 if (dga.generators[first].parity and dga.degree_of_word(rest) % 2) else 1
-        rotated, extra = dga.normalize_word(rest + (first,), koszul)
-        if not extra:
-            return None  # rotation hits an odd square in commutative mode
-        current = rotated
-        sign = sign * (1 if extra == coeff_one(dga.ring) else -1)
-    else:
-        # full cycle: returning to the start with -1 kills the class
-        if current == word and sign == -1:
-            return None
-        if current in seen and seen[current] != sign:
-            return None
-    return seen
+def _composable(left_source, right_target) -> bool:
+    """Whether a letter leaving ``left_source`` may precede one entering
+    ``right_target``; orbits (None) compose with anything."""
+    return left_source is None or right_target is None or left_source == right_target
+
+
+def _least_rotation(word: Word) -> Tuple[int, int]:
+    """Offset of the least rotation of ``word`` and its primitive period, in
+    O(l) comparisons (two-pointer minimum rotation, then the necklace's
+    longest Lyndon prefix)."""
+    n = len(word)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = word[(i + k) % n], word[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    start = min(i, j)
+    least = word[start:] + word[:start]
+    period = 1
+    for t in range(1, n):
+        if least[t] != least[t - period]:
+            period = t + 1
+    return start, period
 
 
 def rotation_class(dga: DGA, word: Word) -> Optional[Tuple[Word, int]]:
@@ -76,14 +96,23 @@ def rotation_class(dga: DGA, word: Word) -> Optional[Tuple[Word, int]]:
     sign relating the word to it; None for classes that vanish."""
     if not word:
         raise ValueError("cyclic words are nonempty")
-    try:
-        seen = _rotations(dga, word)
-    except NonComposable:
-        return None  # the word does not close up cyclically
-    if seen is None:
+    if dga.mode != MODE_ASSOCIATIVE:
+        normal, coeff = dga.normalize_word(word)
+        if not coeff:
+            return None
+        return normal, (1 if coeff == coeff_one(dga.ring) else -1)
+    gens = [dga.generators[name] for name in word]
+    if len(gens) > 1:
+        for left, right in zip(gens[-1:] + gens[:-1], gens):
+            if left.is_chord and right.is_chord and left.kind[1] != right.kind[2]:
+                return None  # the word does not close up cyclically
+    start, period = _least_rotation(word)
+    total = sum(g.degree for g in gens)
+    root = sum(g.degree for g in gens[:period])
+    if root * (total - root) % 2:
         return None
-    canonical = min(seen)
-    return canonical, seen[canonical]
+    head = sum(g.degree for g in gens[:start])
+    return word[start:] + word[:start], (-1 if head * (total - head) % 2 else 1)
 
 
 def project_word(dga: DGA, word: Word, coeff) -> Optional[Tuple[Word, Coeff]]:
@@ -95,26 +124,156 @@ def project_word(dga: DGA, word: Word, coeff) -> Optional[Tuple[Word, Coeff]]:
     return canonical, coeff * sign
 
 
+def _letters(dga: DGA, link: Optional[int]) -> List[tuple]:
+    """(name, degree, link weight, source, target) of every generator a class
+    of the requested link may contain, in name order.  Letters without a link
+    are dropped when a link is requested; with none requested every weight
+    is 0.  Source and target are chord endpoints in associative mode, None
+    otherwise."""
+    out = []
+    for name in sorted(dga.generators):
+        g = dga.generators[name]
+        if link is not None and g.link is None:
+            continue
+        ends = g.kind[1:] if g.is_chord and dga.mode == MODE_ASSOCIATIVE else (None, None)
+        out.append((name, g.degree, 0 if link is None else g.link) + ends)
+    return out
+
+
+def _refuse_oversized(degree: int, bound: int):
+    if bound > CYCLIC_CLASS_LIMIT:
+        raise TooLarge(
+            f"cyclic basis in degree {degree} predicted up to {bound} classes "
+            f"(limit {CYCLIC_CLASS_LIMIT})"
+        )
+
+
+def _anchored_words(letters: List[tuple], degrees: range, link: int) -> List[Dict[tuple, int]]:
+    """Per degree r < degrees.stop: {(link, source of the last letter): count}
+    over nonempty words whose adjacent letters compose, each word counted with
+    the degree of its first letter (the words anchored at one point of a
+    circle of circumference r).
+
+    Rows are built in increasing degree, and a degree in ``degrees`` is
+    refused as soon as its row gives a class bound above the limit.
+    """
+    table: List[Dict[tuple, int]] = [{}]
+    for r in range(1, degrees.stop):
+        row: Dict[tuple, int] = {}
+        for _, deg, lk, src, tgt in letters:
+            if deg == r:
+                row[lk, src] = row.get((lk, src), 0) + deg
+            elif deg < r:
+                for (s, c), count in table[r - deg].items():
+                    if _composable(c, tgt):
+                        row[s + lk, src] = row.get((s + lk, src), 0) + count
+        table.append(row)
+        if r in degrees:
+            _refuse_oversized(r, _class_bound(table, r, link))
+    return table
+
+
+def _normal_words(dga: DGA, letters: List[tuple], top: int) -> List[Dict[int, int]]:
+    """Per degree r <= top: {link: count} of normalized commutative words."""
+    table: List[Dict[int, int]] = [{} for _ in range(top + 1)]
+    table[0][0] = 1
+    for name, deg, lk, _, _ in letters:
+        odd = dga.generators[name].parity
+        # odd letters at most once (descending sweep), even ones any number
+        for r in (range(top - deg, -1, -1) if odd else range(top - deg + 1)):
+            for s, count in table[r].items():
+                row = table[r + deg]
+                row[s + lk] = row.get(s + lk, 0) + count
+    return table
+
+
+def _class_bound(anchored: List[Dict[tuple, int]], degree: int, link: int) -> int:
+    """Upper bound on the number of necklaces of one degree and link.
+
+    Rotation by s in Z_degree acts on anchored words; its fixed points repeat
+    a block of degree gcd(s, degree) and are at most the anchored words of
+    that block.  Burnside's lemma (the weighted Moreau formula) then bounds
+    the orbits by (1/D) sum_{d | D, d | link} phi(d) * anchored(D/d, link/d).
+    """
+    from math import gcd
+
+    total = 0
+    for d in range(1, degree + 1):
+        if degree % d or link % d:
+            continue
+        phi = sum(1 for x in range(1, d + 1) if gcd(x, d) == 1)
+        total += phi * sum(n for (s, _), n in anchored[degree // d].items() if s == link // d)
+    return total // degree
+
+
+def _necklaces(letters: List[tuple], degree: int, link: int, reach: List[set]) -> List[Word]:
+    """Least rotations of the surviving associative classes of one degree and
+    link, in lexicographic order.
+
+    A prenecklace recursion: the letter at position t is at least the one at
+    t - p, where p is the length of the longest Lyndon prefix, and the word is
+    a necklace of primitive period p when p divides its length.  Prefixes are
+    pruned when no completion of the remaining degree reaches the remaining
+    link (``reach``), and when adjacent chords, or the last and first letters,
+    do not compose.
+    """
+    word: List[int] = []
+    prefix = [0]  # prefix[i]: degree of the first i letters
+    out: List[Word] = []
+
+    def extend(period: int, rem: int, need: int):
+        t = len(word)
+        if rem == 0:
+            if t % period == 0:
+                root = prefix[period]
+                # survives when P_p (D - P_p) = P_p^2 (t/p - 1) is even
+                if not (root & 1 and (t // period) % 2 == 0):
+                    out.append(tuple(letters[i][0] for i in word))
+            return
+        ref = word[t - period] if t else -1
+        last = letters[word[-1]][3] if t else None
+        first = letters[word[0]][4] if t else None
+        for i in range(max(ref, 0), len(letters)):
+            _, deg, lk, src, tgt = letters[i]
+            if deg > rem or need - lk not in reach[rem - deg] or not _composable(last, tgt):
+                continue
+            if deg == rem and t and not _composable(src, first):
+                continue
+            word.append(i)
+            prefix.append(prefix[-1] + deg)
+            extend(period if i == ref else t + 1, rem - deg, need - lk)
+            word.pop()
+            prefix.pop()
+
+    extend(1, degree, link)
+    return out
+
+
 def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict[int, Tuple[CyclicWord, ...]]:
-    """Canonical representatives of the nonzero classes, per degree in [lo, hi]."""
+    """Canonical representatives of the nonzero classes, per degree in [lo, hi].
+
+    Raises TooLarge, before enumerating any degree, when some degree's
+    predicted class count exceeds CYCLIC_CLASS_LIMIT.
+    """
     if any(g.degree <= 0 for g in dga.generators.values()):
         raise InfiniteBasis("cyclic bases need strictly positive generator degrees")
-    out: Dict[int, Tuple[CyclicWord, ...]] = {}
-    for k in range(lo, hi + 1):
-        reps = {}
-        if k >= 1:
-            for word in word_basis(dga, k):
-                if not word:
-                    continue
-                if link is not None and dga.link_of_word(word) != link:
-                    continue
-                cls = rotation_class(dga, word)
-                if cls is None:
-                    continue
-                canonical, _ = cls
-                if canonical not in reps:
-                    reps[canonical] = CyclicWord(canonical, k, dga.link_of_word(canonical))
-        out[k] = tuple(reps[w] for w in sorted(reps))
+    letters = _letters(dga, link)
+    target = 0 if link is None else link
+    degrees = range(max(lo, 1), hi + 1)
+    out: Dict[int, Tuple[CyclicWord, ...]] = {k: () for k in range(lo, hi + 1)}
+    if dga.mode == MODE_ASSOCIATIVE:
+        table = _anchored_words(letters, degrees, target)
+        reach = [{0}] + [{s for s, _ in row} for row in table[1:]]
+        for k in degrees:
+            out[k] = tuple(CyclicWord(w, k, dga.link_of_word(w))
+                           for w in _necklaces(letters, k, target, reach))
+        return out
+    counts = _normal_words(dga, letters, max(hi, 0))
+    for k in degrees:
+        _refuse_oversized(k, counts[k].get(target, 0))
+    for k in degrees:
+        out[k] = tuple(CyclicWord(w, k, dga.link_of_word(w)) for w in word_basis(dga, k)
+                       if link is None or dga.link_of_word(w) == link)
     return out
 
 

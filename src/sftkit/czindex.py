@@ -104,7 +104,7 @@ class PathSpec:
 def path_index(path: PathSpec, subdivisions: int = 256):
     """Index of a path by the method its family admits.
 
-    Rotation and local-model blocks go через the crossing count (equal to the
+    Rotation and local-model blocks go through the crossing count (equal to the
     closed form); shear blocks get the half-integer index with the loop
     shift.
     """

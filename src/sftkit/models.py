@@ -227,12 +227,11 @@ def hc_window(n: int) -> CyclicWindowResult:
     rows = model_chords(n, max_link=2)
     algebra = dga_mod.DGA(RING_Q, dga_mod.MODE_ASSOCIATIVE,
                           [r.generator for r in rows])
-    basis = cyclic_mod.cyclic_basis(algebra, 2 * n - 1, 2 * n + 1, link=2)
+    complex_ = cyclic_mod.cyclic_complex(algebra, 2 * n, 2 * n, link=2)
+    basis = complex_.basis
     neighbors = {2 * n - 1: len(basis[2 * n - 1]), 2 * n + 1: len(basis[2 * n + 1])}
-    classes = basis[2 * n]
-    summary = cyclic_mod.reduced_cyclic_homology(algebra, 2 * n, 2 * n, link=2)
-    rank = summary[2 * n].free_rank
-    rep = classes[0].word if classes else None
+    rank = dga_mod.homology(complex_, 2 * n, 2 * n)[2 * n].free_rank
+    rep = basis[2 * n][0] if basis[2 * n] else None
     return CyclicWindowResult((2 * n, 2), rank, rep, neighbors)
 
 

@@ -49,6 +49,10 @@ class UPoly:
     def __setattr__(self, *a):
         raise AttributeError("UPoly is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__: the default slot restore would setattr
+        return UPoly, (self.coeffs,)
+
     @staticmethod
     def const(c) -> "UPoly":
         return UPoly([rat(c)])

@@ -1,5 +1,10 @@
 """Shared test utilities: seeded RNG and random decorated forests.
 
+The reference cyclic path (``_rotations``, ``rotation_class``, ``cyclic_basis``)
+is the original rotate-and-normalize implementation: every word of a degree
+is listed and canonicalized by walking its rotation orbit.  It is kept here,
+unchanged, as the oracle for the necklace generator in ``sftkit.cyclic``.
+
 Random forests follow the standing geometric hypotheses: orbits in the
 submanifold have normal parity 1 (positive elliptic), and by default every
 vertex satisfies the representability lower bound (s >= -#(outgoing edges in
@@ -8,7 +13,11 @@ the submanifold) when all its ends lie there, s >= 0 otherwise).
 
 import os
 import random
+from typing import Dict, Optional, Tuple
 
+from sftkit.cyclic import CyclicWord
+from sftkit.dga import DGA, Coeff, Word, coeff_one, word_basis
+from sftkit.errors import InfiniteBasis, NonComposable
 from sftkit.trees import DecoratedForest, Edge, OrbitLabel, Vertex
 
 
@@ -79,3 +88,83 @@ def random_forest(rng: random.Random, max_vertices: int = 8, positive: bool = Tr
         root = grow(root_orbit)
         edges.append(Edge(fresh("e"), None, root, root_orbit))
     return DecoratedForest(vertices, edges)
+
+
+# reference cyclic path ------------------------------------------------------
+
+
+def _rotations(dga: DGA, word: Word):
+    """Yield (rotated normalized word, sign) over one full cycle, or None if
+    the class dies (some rotation returns a word already seen with the
+    opposite sign)."""
+    seen: Dict[Word, int] = {}
+    current = word
+    sign = 1
+    for _ in range(len(word)):
+        if current in seen:
+            if seen[current] != sign:
+                return None
+            break
+        seen[current] = sign
+        first = current[0]
+        rest = current[1:]
+        koszul = -1 if (dga.generators[first].parity and dga.degree_of_word(rest) % 2) else 1
+        rotated, extra = dga.normalize_word(rest + (first,), koszul)
+        if not extra:
+            return None  # rotation hits an odd square in commutative mode
+        current = rotated
+        sign = sign * (1 if extra == coeff_one(dga.ring) else -1)
+    else:
+        # full cycle: returning to the start with -1 kills the class
+        if current == word and sign == -1:
+            return None
+        if current in seen and seen[current] != sign:
+            return None
+    return seen
+
+
+def rotation_class(dga: DGA, word: Word) -> Optional[Tuple[Word, int]]:
+    """Canonical representative of the rotation class of ``word`` and the
+    sign relating the word to it; None for classes that vanish."""
+    if not word:
+        raise ValueError("cyclic words are nonempty")
+    try:
+        seen = _rotations(dga, word)
+    except NonComposable:
+        return None  # the word does not close up cyclically
+    if seen is None:
+        return None
+    canonical = min(seen)
+    return canonical, seen[canonical]
+
+
+def project_word(dga: DGA, word: Word, coeff) -> Optional[Tuple[Word, Coeff]]:
+    """Project a free-algebra word into the coinvariants."""
+    cls = rotation_class(dga, word)
+    if cls is None:
+        return None
+    canonical, sign = cls
+    return canonical, coeff * sign
+
+
+def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict[int, Tuple[CyclicWord, ...]]:
+    """Canonical representatives of the nonzero classes, per degree in [lo, hi]."""
+    if any(g.degree <= 0 for g in dga.generators.values()):
+        raise InfiniteBasis("cyclic bases need strictly positive generator degrees")
+    out: Dict[int, Tuple[CyclicWord, ...]] = {}
+    for k in range(lo, hi + 1):
+        reps = {}
+        if k >= 1:
+            for word in word_basis(dga, k):
+                if not word:
+                    continue
+                if link is not None and dga.link_of_word(word) != link:
+                    continue
+                cls = rotation_class(dga, word)
+                if cls is None:
+                    continue
+                canonical, _ = cls
+                if canonical not in reps:
+                    reps[canonical] = CyclicWord(canonical, k, dga.link_of_word(canonical))
+        out[k] = tuple(reps[w] for w in sorted(reps))
+    return out

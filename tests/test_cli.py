@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,17 @@ def test_cyclic_window(capsys):
     assert out.splitlines() == [
         "HC_1: rank 1", "HC_2: rank 0", "HC_3: rank 1", "HC_4: rank 0", "HC_5: rank 1",
     ]
+
+
+def test_cyclic_oversized_window_is_refused_quickly():
+    # Word counts grow like the Fibonacci numbers; the predicted basis size
+    # must refuse the window up front (exit 2) instead of enumerating it.
+    cmd = [sys.executable, "-m", "sftkit.cli", "cyclic", str(DATA / "exact_pair.json"),
+           "--window", "0..40"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 2
+    assert "TooLarge" in proc.stderr and "degree 23" in proc.stderr
 
 
 def test_model_ranks_table(capsys):

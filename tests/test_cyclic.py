@@ -11,9 +11,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import helpers
 from helpers import seeded_rng
 from sftkit.cyclic import (
+    CYCLIC_CLASS_LIMIT,
     CyclicWord,
     cyclic_basis,
     cyclic_differential,
@@ -28,7 +31,7 @@ from sftkit.dga import (
     dga_from_doc,
     word_basis,
 )
-from sftkit.errors import InfiniteBasis
+from sftkit.errors import InfiniteBasis, TooLarge
 from sftkit.ring import RING_Q, ExactMatrix
 
 DATA = Path(__file__).parent / "data"
@@ -264,3 +267,58 @@ def test_degree_zero_generators_rejected():
     d = assoc([Generator("e", 0)])
     with pytest.raises(InfiniteBasis):
         reduced_cyclic_homology(d, 0, 2)
+
+
+# necklace generation against the rotate-and-normalize reference ----------------
+
+
+@st.composite
+def random_algebras(draw):
+    """Free algebras of both modes on 1-4 generators of degree 1-4 with links
+    None/0/1/2, orbits and chords over 1-2 components, named so that name
+    order and degree order disagree."""
+    mode = draw(st.sampled_from(["associative", "commutative"]))
+    components = draw(st.integers(1, 2))
+    names = draw(st.permutations(["a", "b", "c", "d"]))[:draw(st.integers(1, 4))]
+    component = st.integers(0, components - 1)
+    gens = []
+    for name in names:
+        kind = ("chord", draw(component), draw(component)) if draw(st.booleans()) else ("orbit",)
+        gens.append(Generator(name, draw(st.integers(1, 4)),
+                              draw(st.sampled_from([None, 0, 1, 2])), kind))
+    return DGA(RING_Q, mode, gens, components=components)
+
+
+def word_count(dga, top):
+    """Number of raw words of degree 1..top, an upper bound on the work of
+    the reference path."""
+    counts = [1] + [0] * top
+    for k in range(1, top + 1):
+        counts[k] = sum(counts[k - g.degree] for g in dga.generators.values() if g.degree <= k)
+    return sum(counts[1:])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(random_algebras())
+def test_necklace_basis_matches_reference(d):
+    assume(word_count(d, 9) <= 5000)
+    for link in (None, 0, 1, 2, 3):
+        assert cyclic_basis(d, 0, 9, link) == helpers.cyclic_basis(d, 0, 9, link)
+    for k in range(1, 8):
+        for word in word_basis(d, k):
+            assert rotation_class(d, word) == helpers.rotation_class(d, word)
+            assert project_word(d, word, Fraction(3)) == helpers.project_word(d, word, Fraction(3))
+
+
+def test_oversized_degree_is_refused():
+    # The exact pair has 2787 necklaces in degree 23, the first degree above
+    # the limit; degree 20, the top of the window 0..19, still fits.
+    with pytest.raises(TooLarge, match="degree 23 predicted up to 2787"):
+        cyclic_basis(exact_pair(), 0, 40)
+    assert len(cyclic_basis(exact_pair(), 20, 20)[20]) == 763 <= CYCLIC_CLASS_LIMIT
+    # Commutative classes are counted as monomials, not as necklaces.
+    orbit = load("orbit_qu.json").evaluate_U(1)
+    assert len(cyclic_basis(orbit, 40, 40)[40]) == 21
+    evens = DGA(RING_Q, "commutative", [Generator(f"e{i}", 2) for i in range(8)])
+    with pytest.raises(TooLarge, match="degree 14 predicted up to 3432"):
+        cyclic_basis(evens, 1, 40)

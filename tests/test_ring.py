@@ -6,6 +6,7 @@ computed by brute-force cofactor determinants.
 """
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,13 @@ def test_upoly_ring_laws(a, b, c):
         q, r = a.divmod(b)
         assert q * b + r == a
         assert r.is_zero() or r.degree < b.degree
+
+
+@given(upolys)
+def test_upoly_pickle_roundtrip(p):
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and back.coeffs == p.coeffs
+    assert pickle.loads(pickle.dumps(UPoly([1, 2]))) == 2 * U + 1
 
 
 def test_rank_and_evaluate():
