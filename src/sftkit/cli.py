@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import cyclic as cyclic_mod
 from . import czindex, energy, models, trees
 from . import dga as dga_mod
-from .errors import DomainError
+from .errors import DomainError, DSquareNonzero
 from .ring import RING_QU, rat
 
 MACHINE_HEADER = "sftkit.machine/1"
@@ -208,8 +208,7 @@ def _cmd_dga(args) -> int:
         residues = algebra.check_d_squared()
         if residues:
             name, residue = residues[0]
-            print(f"error: DSquareNonzero: d^2({name}) = {residue}", file=sys.stderr)
-            return EXIT_DOMAIN
+            raise DSquareNonzero(f"d^2({name}) = {residue}")
         _emit(args, {"op": "check", "value": True}, ["d^2 = 0"])
         did_something = True
     if args.bidegree:

@@ -16,8 +16,9 @@ prenecklace recursion (Ruskey & Sawada, SIAM J. Comput. 1999); in
 commutative mode every nonzero normalized word is alone in its class.
 
 Degree-0 generators are rejected: each graded piece must be a finite module.
-Degrees whose predicted class count exceeds ``CYCLIC_CLASS_LIMIT`` are
-refused with ``TooLarge`` before anything is enumerated.
+Degrees whose predicted class count exceeds ``CYCLIC_CLASS_LIMIT``, and
+associative windows whose words may exceed ``dga.WORD_LENGTH_LIMIT`` letters,
+are refused with ``TooLarge`` before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .dga import (
     coeff_one,
     coeff_zero,
     homology,
+    refuse_long_words,
     word_basis,
 )
 from .errors import InfiniteBasis, TooLarge
@@ -253,7 +255,8 @@ def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict
     """Canonical representatives of the nonzero classes, per degree in [lo, hi].
 
     Raises TooLarge, before enumerating any degree, when some degree's
-    predicted class count exceeds CYCLIC_CLASS_LIMIT.
+    predicted class count exceeds CYCLIC_CLASS_LIMIT or, in associative
+    mode, when words of degree ``hi`` may exceed WORD_LENGTH_LIMIT letters.
     """
     if any(g.degree <= 0 for g in dga.generators.values()):
         raise InfiniteBasis("cyclic bases need strictly positive generator degrees")
@@ -262,6 +265,7 @@ def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict
     degrees = range(max(lo, 1), hi + 1)
     out: Dict[int, Tuple[CyclicWord, ...]] = {k: () for k in range(lo, hi + 1)}
     if dga.mode == MODE_ASSOCIATIVE:
+        refuse_long_words(dga, hi)
         table = _anchored_words(letters, degrees, target)
         reach = [{0}] + [{s for s, _ in row} for row in table[1:]]
         for k in degrees:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import InfiniteBasis, NonComposable, NotAChainMap
-from .ring import RING_Q, RING_QU, ExactMatrix, UPoly, rat, smith_normal_form
+from .errors import DSquareNonzero, InfiniteBasis, NonComposable, NotAChainMap, TooLarge
+from .ring import RING_Q, RING_QU, ExactMatrix, UPoly, _rank_q, rat, smith_normal_form
 
 Coeff = Union[Fraction, UPoly]
 Word = Tuple[str, ...]
@@ -407,12 +407,36 @@ class ChainComplex:
         return ExactMatrix.zeros(self.ring, self.dim(k - 1), self.dim(k))
 
     def verify(self):
-        for k in sorted(self.basis):
-            if self.dim(k) and self.dim(k - 1) and self.dim(k - 2):
-                prod = self.boundary_matrix(k - 1) @ self.boundary_matrix(k)
-                if prod != ExactMatrix.zeros(self.ring, self.dim(k - 2), self.dim(k)):
-                    raise ValueError(f"d^2 != 0 from degree {k}")
+        _check_square_zero(self, self.boundary)
         return self
+
+
+def _check_square_zero(cx: ChainComplex, degrees: Iterable[int]) -> None:
+    """Raise DSquareNonzero unless d_{k-1} d_k = 0 for every k in ``degrees``
+    where both boundaries are stored.  The product is taken row by row on
+    sparse rows; integral rationals become ints, whose arithmetic is faster."""
+    sparse: Dict[int, List[Dict[int, Coeff]]] = {}
+
+    def rows(k: int) -> List[Dict[int, Coeff]]:
+        if k not in sparse:
+            sparse[k] = [
+                {j: x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+                 for j, x in enumerate(row) if x}
+                for row in cx.boundary[k].rows
+            ]
+        return sparse[k]
+
+    for k in sorted(degrees):
+        if k not in cx.boundary or k - 1 not in cx.boundary:
+            continue
+        upper = rows(k)
+        for row in rows(k - 1):
+            image: Dict[int, Coeff] = {}
+            for i, w in row.items():
+                for j, v in upper[i].items():
+                    image[j] = image[j] + w * v if j in image else w * v
+            if any(image.values()):
+                raise DSquareNonzero(f"d^2 != 0 from degree {k}")
 
 
 def linearize(dga: DGA, aug: Augmentation) -> ChainComplex:
@@ -465,11 +489,33 @@ def linearize(dga: DGA, aug: Augmentation) -> ChainComplex:
     return ChainComplex(dga.ring, basis, boundary).verify()
 
 
+# Longest associative word that word_basis and cyclic.cyclic_basis will
+# build.  Both recurse once per letter, so this keeps them well under
+# Python's default limit of 1000 frames.
+WORD_LENGTH_LIMIT = 500
+
+
+def refuse_long_words(dga: DGA, degree: int) -> None:
+    """Raise TooLarge when associative words of ``degree`` may be longer than
+    WORD_LENGTH_LIMIT letters (degree // least generator degree).  Bases with
+    generators of degree <= 0 are left to raise InfiniteBasis."""
+    least = min((g.degree for g in dga.generators.values()), default=0)
+    if dga.mode != MODE_ASSOCIATIVE or least <= 0:
+        return
+    length = degree // least
+    if length > WORD_LENGTH_LIMIT:
+        raise TooLarge(
+            f"associative words of degree {degree} reach length {length} "
+            f"(limit {WORD_LENGTH_LIMIT})"
+        )
+
+
 def word_basis(dga: DGA, degree: int) -> Tuple[Word, ...]:
     """All normalized words of a given degree, requiring positive generator degrees."""
     gens = sorted(dga.generators.values(), key=Generator.sort_key)
     if any(g.degree <= 0 for g in gens):
         raise InfiniteBasis("word bases need strictly positive generator degrees")
+    refuse_long_words(dga, degree)
     if degree < 0:
         return ()
     if degree == 0:
@@ -514,6 +560,7 @@ def word_basis(dga: DGA, degree: int) -> Tuple[Word, ...]:
 
 def word_complex(dga: DGA, lo: int, hi: int) -> ChainComplex:
     """The full algebra as a complex of free modules on word bases in [lo, hi]."""
+    refuse_long_words(dga, hi)
     basis = {k: word_basis(dga, k) for k in range(lo, hi + 1)}
     boundary: Dict[int, ExactMatrix] = {}
     for k in range(lo + 1, hi + 1):
@@ -627,46 +674,34 @@ def dga_from_doc(doc: dict) -> DGA:
 def homology(cx: ChainComplex, lo: int, hi: int) -> Dict[int, HomologySummary]:
     """Per-degree homology of a complex of free modules.
 
-    Over Q the answer is a rank; over Q[U] the kernel is computed from the
-    Smith form of the outgoing boundary and the incoming image is presented
-    inside it, so the summary also lists torsion invariant factors.
+    Each boundary d_k is factored once: over Q for its rank, over Q[U] by one
+    Smith form for its rank and its non-unit invariant factors.  Over a PID
+    ker d_k is a summand of C_k, so H_k is free of rank
+    dim C_k - rk d_k - rk d_{k+1} plus the torsion given by the non-unit
+    invariant factors of d_{k+1}.  Raises DSquareNonzero when two stored
+    boundaries of the window do not compose to zero.
     """
+    _check_square_zero(cx, range(lo + 1, hi + 2))
+    factored: Dict[int, Tuple[int, tuple]] = {}
+
+    def factor(k: int) -> Tuple[int, tuple]:
+        if k not in factored:
+            m = cx.boundary.get(k)
+            if m is None:
+                factored[k] = (0, ())
+            elif cx.ring == RING_Q:
+                factored[k] = (_rank_q(m.rows), ())
+            else:
+                factors = smith_normal_form(m).factors
+                factored[k] = (len(factors), tuple(f for f in factors if f.degree > 0))
+        return factored[k]
+
     out: Dict[int, HomologySummary] = {}
     for k in range(lo, hi + 1):
         n = cx.dim(k)
         if n == 0:
             out[k] = HomologySummary(0, ())
             continue
-        d_out = cx.boundary_matrix(k)
-        d_in = cx.boundary_matrix(k + 1)
-        if cx.ring == RING_Q:
-            rank_out = d_out.rank() if d_out.nrows else 0
-            rank_in = d_in.rank() if d_in.ncols and d_in.nrows else 0
-            out[k] = HomologySummary(n - rank_out - rank_in, ())
-            continue
-
-        if d_out.nrows == 0:
-            kernel_dim = n
-            kernel_coords = ExactMatrix.identity(cx.ring, n)
-        else:
-            snf = smith_normal_form(d_out)
-            r = len(snf.factors)
-            kernel_dim = n - r
-            kernel_coords = snf.right_inverse
-        if kernel_dim == 0:
-            out[k] = HomologySummary(0, ())
-            continue
-        if d_in.ncols == 0 or d_in.nrows == 0:
-            out[k] = HomologySummary(kernel_dim, ())
-            continue
-        coords = kernel_coords @ d_in
-        r = n - kernel_dim
-        for i in range(r):
-            for j in range(d_in.ncols):
-                if coords.rows[i][j]:
-                    raise ValueError("image does not land in the kernel; d^2 != 0?")
-        pres = ExactMatrix(cx.ring, [coords.rows[i] for i in range(r, n)])
-        psnf = smith_normal_form(pres)
-        torsion = tuple(f for f in psnf.factors if f.degree > 0)
-        out[k] = HomologySummary(kernel_dim - len(psnf.factors), torsion)
+        rank_in, torsion = factor(k + 1)
+        out[k] = HomologySummary(n - factor(k)[0] - rank_in, torsion)
     return out

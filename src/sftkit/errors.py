@@ -71,6 +71,10 @@ class NotAChainMap(DomainError):
         super().__init__(message or f"augmentation fails on generator {generator!r}")
 
 
+class DSquareNonzero(DomainError):
+    """The differential does not square to zero."""
+
+
 class InfiniteBasis(DomainError):
     """Requested window has infinitely many basis words (degree-0 generators)."""
 

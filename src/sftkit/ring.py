@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -434,31 +435,49 @@ class ExactMatrix:
     __repr__ = __str__
 
 
+def _primitive(vec: dict) -> dict:
+    """Divide a nonzero integer vector {col: int} by the gcd of its entries."""
+    g = gcd(*vec.values())
+    return vec if g == 1 else {j: v // g for j, v in vec.items()}
+
+
 def _rank_q(rows) -> int:
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0]) if m else 0
-    rank = 0
-    row = 0
-    for col in range(nc):
-        pivot = next((r for r in range(row, nr) if m[r][col] != 0), None)
-        if pivot is None:
+    """Rank over Q by sparse, fraction-free elimination over Z (Bareiss 1968).
+
+    Each row is cleared of denominators into a primitive {col: int} dict and
+    reduced against the pivot rows met so far, keyed by leading column: with
+    g the gcd of the two leading entries p (pivot) and c (row), the row
+    becomes (p/g)*row - (c/g)*pivot.  A row that survives is divided by its
+    content and stored as the pivot of its new leading column.
+    """
+    pivots: dict = {}
+    for row in rows:
+        entries = [(j, x) for j, x in enumerate(row) if x]
+        if not entries:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(nr):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
+        scale = lcm(*(x.denominator for _, x in entries))
+        vec = _primitive({j: x.numerator * (scale // x.denominator) for j, x in entries})
+        while vec:
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = _primitive(vec)
+                break
+            g = gcd(pivot[lead], vec[lead])
+            a, b = pivot[lead] // g, vec[lead] // g
+            vec = {j: a * v for j, v in vec.items()}
+            for j, v in pivot.items():
+                w = vec.get(j, 0) - b * v
+                if w:
+                    vec[j] = w
+                else:
+                    del vec[j]
+    return len(pivots)
 
 
 def _rank_qu(rows) -> int:
-    # Fraction-free elimination: cross-multiply rows, divide out content lazily.
+    # Fraction-free elimination: cross-multiply rows; content is never
+    # divided out, so entries grow with every elimination step.
     m = [list(r) for r in rows]
     nr, nc = len(m), len(m[0]) if m else 0
     rank = 0

@@ -1,9 +1,15 @@
-"""Shared test utilities: seeded RNG and random decorated forests.
+"""Shared test utilities: seeded RNG, random decorated forests, and
+reference implementations kept as oracles for the fast paths.
 
 The reference cyclic path (``_rotations``, ``rotation_class``, ``cyclic_basis``)
 is the original rotate-and-normalize implementation: every word of a degree
 is listed and canonicalized by walking its rotation orbit.  It is kept here,
 unchanged, as the oracle for the necklace generator in ``sftkit.cyclic``.
+
+``dense_rank_q`` (dense Gauss-Jordan over Fractions) and ``reference_homology``
+(kernel coordinates from the Smith form of the outgoing boundary, then a
+second Smith form of the presentation of the incoming image) are the original
+homology path, the oracles for ``ring._rank_q`` and ``dga.homology``.
 
 Random forests follow the standing geometric hypotheses: orbits in the
 submanifold have normal parity 1 (positive elliptic), and by default every
@@ -16,8 +22,9 @@ import random
 from typing import Dict, Optional, Tuple
 
 from sftkit.cyclic import CyclicWord
-from sftkit.dga import DGA, Coeff, Word, coeff_one, word_basis
+from sftkit.dga import DGA, ChainComplex, Coeff, HomologySummary, Word, coeff_one, word_basis
 from sftkit.errors import InfiniteBasis, NonComposable
+from sftkit.ring import RING_Q, ExactMatrix, smith_normal_form
 from sftkit.trees import DecoratedForest, Edge, OrbitLabel, Vertex
 
 
@@ -167,4 +174,78 @@ def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict
                 if canonical not in reps:
                     reps[canonical] = CyclicWord(canonical, k, dga.link_of_word(canonical))
         out[k] = tuple(reps[w] for w in sorted(reps))
+    return out
+
+
+# reference homology path ------------------------------------------------------
+
+
+def dense_rank_q(rows) -> int:
+    m = [list(r) for r in rows]
+    nr, nc = len(m), len(m[0]) if m else 0
+    rank = 0
+    row = 0
+    for col in range(nc):
+        pivot = next((r for r in range(row, nr) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(nr):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        rank += 1
+        row += 1
+        if row == nr:
+            break
+    return rank
+
+
+def reference_homology(cx: ChainComplex, lo: int, hi: int) -> Dict[int, HomologySummary]:
+    """Per-degree homology of a complex of free modules.
+
+    Over Q the answer is a rank; over Q[U] the kernel is computed from the
+    Smith form of the outgoing boundary and the incoming image is presented
+    inside it, so the summary also lists torsion invariant factors.
+    """
+    out: Dict[int, HomologySummary] = {}
+    for k in range(lo, hi + 1):
+        n = cx.dim(k)
+        if n == 0:
+            out[k] = HomologySummary(0, ())
+            continue
+        d_out = cx.boundary_matrix(k)
+        d_in = cx.boundary_matrix(k + 1)
+        if cx.ring == RING_Q:
+            rank_out = dense_rank_q(d_out.rows) if d_out.nrows else 0
+            rank_in = dense_rank_q(d_in.rows) if d_in.ncols and d_in.nrows else 0
+            out[k] = HomologySummary(n - rank_out - rank_in, ())
+            continue
+
+        if d_out.nrows == 0:
+            kernel_dim = n
+            kernel_coords = ExactMatrix.identity(cx.ring, n)
+        else:
+            snf = smith_normal_form(d_out)
+            r = len(snf.factors)
+            kernel_dim = n - r
+            kernel_coords = snf.right_inverse
+        if kernel_dim == 0:
+            out[k] = HomologySummary(0, ())
+            continue
+        if d_in.ncols == 0 or d_in.nrows == 0:
+            out[k] = HomologySummary(kernel_dim, ())
+            continue
+        coords = kernel_coords @ d_in
+        r = n - kernel_dim
+        for i in range(r):
+            for j in range(d_in.ncols):
+                if coords.rows[i][j]:
+                    raise ValueError("image does not land in the kernel; d^2 != 0?")
+        pres = ExactMatrix(cx.ring, [coords.rows[i] for i in range(r, n)])
+        psnf = smith_normal_form(pres)
+        torsion = tuple(f for f in psnf.factors if f.degree > 0)
+        out[k] = HomologySummary(kernel_dim - len(psnf.factors), torsion)
     return out

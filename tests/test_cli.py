@@ -15,6 +15,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_subprocess(*argv, timeout):
+    cmd = [sys.executable, "-m", "sftkit.cli", *argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout, env=env)
+
+
 def machine_payload(out: str) -> dict:
     header, _, body = out.partition("\n")
     assert header == MACHINE_HEADER
@@ -122,12 +128,45 @@ def test_cyclic_window(capsys):
 def test_cyclic_oversized_window_is_refused_quickly():
     # Word counts grow like the Fibonacci numbers; the predicted basis size
     # must refuse the window up front (exit 2) instead of enumerating it.
-    cmd = [sys.executable, "-m", "sftkit.cli", "cyclic", str(DATA / "exact_pair.json"),
-           "--window", "0..40"]
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=5, env=env)
+    proc = run_subprocess("cyclic", str(DATA / "exact_pair.json"), "--window", "0..40",
+                          timeout=5)
     assert proc.returncode == 2
     assert "TooLarge" in proc.stderr and "degree 23" in proc.stderr
+
+
+def test_dga_homology_refuses_nonzero_d_squared(capsys):
+    code, out, err = run_cli(capsys, "--format", "machine", "dga", str(DATA / "broken.json"),
+                             "--homology", "0..5")
+    assert code == 2
+    assert "DSquareNonzero" in err
+    assert "ranks" not in out and "free" not in out
+
+
+def test_cyclic_deep_window_is_refused_quickly():
+    # One degree-1 generator gives 1101-letter words; the word recursion
+    # would pass Python's frame limit.
+    proc = run_subprocess("cyclic", str(DATA / "acyclic_unit.json"), "--window", "1100..1100",
+                          timeout=5)
+    assert proc.returncode == 2
+    assert "TooLarge" in proc.stderr and "length 1101" in proc.stderr
+
+
+def test_dga_deep_homology_window_is_refused_quickly():
+    proc = run_subprocess("dga", str(DATA / "acyclic_unit.json"), "--homology", "1100..1100",
+                          timeout=5)
+    assert proc.returncode == 2
+    assert "TooLarge" in proc.stderr and "length 1101" in proc.stderr
+
+
+def test_cyclic_exact_pair_worst_case_window():
+    # The top boundary is 493 x 763; dense elimination over Fractions took
+    # about 50 s on it, sparse fraction-free elimination well under a second.
+    proc = run_subprocess("--format", "machine", "cyclic", str(DATA / "exact_pair.json"),
+                          "--window", "0..19", timeout=20)
+    assert proc.returncode == 0
+    ranks = machine_payload(proc.stdout)["ranks"]
+    assert sorted(ranks, key=int) == [str(k) for k in range(20)]
+    assert all(r == {"free": 0, "torsion": []} for r in ranks.values())
 
 
 def test_model_ranks_table(capsys):

@@ -2,9 +2,13 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
+import random
 
-from helpers import seeded_rng
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import reference_homology, seeded_rng
+from sftkit.cyclic import cyclic_complex
 from sftkit.dga import (
     DGA,
     AlgebraElement,
@@ -18,7 +22,7 @@ from sftkit.dga import (
     word_basis,
     word_complex,
 )
-from sftkit.errors import NonComposable, NotAChainMap
+from sftkit.errors import DSquareNonzero, NonComposable, NotAChainMap, TooLarge
 from sftkit.ring import RING_Q, RING_QU, ExactMatrix, UPoly
 
 DATA = Path(__file__).parent / "data"
@@ -296,6 +300,57 @@ def random_qu_complex(rng):
         {k: m for k, m in ((1, a), (2, b)) if m.ncols and m.nrows},
     )
     return cx.verify()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32))
+def test_homology_matches_reference_over_qu(seed):
+    cx = random_qu_complex(random.Random(seed))
+    if cx is not None:
+        assert homology(cx, 0, 2) == reference_homology(cx, 0, 2)
+
+
+@st.composite
+def closed_exact_algebras(draw):
+    """Associative Q-algebras with d^2 = 0: closed generators c_i (d c_i = 0)
+    and generators e_j whose differential is a random combination of words
+    in the c_i, the empty word included."""
+    closed = [Generator(f"c{i}", draw(st.integers(1, 3)))
+              for i in range(draw(st.integers(1, 3)))]
+    words = DGA(RING_Q, "associative", closed)
+    gens, diff = list(closed), {}
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    for j in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 4))
+        gens.append(Generator(f"e{j}", deg))
+        terms = {w: draw(coeff) for w in word_basis(words, deg - 1) if draw(st.booleans())}
+        diff[f"e{j}"] = AlgebraElement(RING_Q, terms)
+    return DGA(RING_Q, "associative", gens, diff)
+
+
+@settings(deadline=None, max_examples=40)
+@given(closed_exact_algebras(), st.integers(1, 5))
+def test_homology_matches_reference_over_q(algebra, hi):
+    for cx in (word_complex(algebra, 0, hi + 1), cyclic_complex(algebra, 0, hi)):
+        assert homology(cx, 0, hi) == reference_homology(cx, 0, hi)
+
+
+def test_homology_refuses_nonzero_d_squared():
+    doc = json.loads((DATA / "broken.json").read_text())
+    for ring in (RING_Q, RING_QU):
+        # d(a) = b and d(b) = 1, so d_1 d_2 != 0 and d_2 d_3 (ba -> a -> b) != 0;
+        # the window 2..2 reads d_2 and d_3 only
+        cx = word_complex(dga_from_doc({**doc, "ring": ring}), 0, 3)
+        for lo, hi in ((0, 2), (2, 2)):
+            with pytest.raises(DSquareNonzero):
+                homology(cx, lo, hi)
+
+
+def test_word_basis_refuses_words_past_the_length_limit():
+    d = DGA(RING_Q, "associative", [Generator("x", 1)])
+    assert word_basis(d, 500) == (("x",) * 500,)
+    with pytest.raises(TooLarge, match="length 501"):
+        word_basis(d, 501)
 
 
 def test_specialization_consistency():

@@ -10,14 +10,15 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import seeded_rng
+from helpers import dense_rank_q, seeded_rng
 from sftkit.ring import (
     RING_Q,
     RING_QU,
     ExactMatrix,
     UPoly,
+    _rank_q,
     parse_upoly,
     poly_arith,
     poly_gcd,
@@ -181,3 +182,43 @@ def test_matrix_validation():
         ExactMatrix(RING_Q, [[1, 2], [3]])
     with pytest.raises(ValueError):
         ExactMatrix(RING_Q, [[U + 1]])
+
+
+@st.composite
+def rational_matrices(draw):
+    """Up to 8 x 8 rationals with denominators up to 10^6, sparse or dense,
+    then some rows replaced by scaled copies of others and some rows and
+    columns zeroed."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    fill = draw(st.sampled_from([15, 50, 100]))  # percent of nonzero cells
+    entry = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+    rows = [[draw(entry) if draw(st.integers(0, 99)) < fill else Fraction(0)
+             for _ in range(ncols)] for _ in range(nrows)]
+    edits = st.tuples(st.sampled_from(["copy", "zero_row", "zero_col"]),
+                      st.integers(0, 7), st.integers(0, 7),
+                      st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
+    for op, i, j, scale in draw(st.lists(edits, max_size=4)):
+        if op == "copy" and nrows:
+            rows[i % nrows] = [scale * x for x in rows[j % nrows]]
+        elif op == "zero_row" and nrows:
+            rows[i % nrows] = [Fraction(0)] * ncols
+        elif op == "zero_col" and ncols:
+            for row in rows:
+                row[j % ncols] = Fraction(0)
+    return rows
+
+
+@settings(deadline=None)
+@given(rational_matrices())
+def test_rank_q_matches_dense_reference_and_sympy(rows):
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    want = dense_rank_q(rows)
+    assert _rank_q(rows) == want
+    if rows and rows[0]:
+        dm = DomainMatrix([[QQ(x.numerator, x.denominator) for x in r] for r in rows],
+                          (len(rows), len(rows[0])), QQ)
+        assert dm.rank() == want
+    else:
+        assert want == 0
