@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import cyclic as cyclic_mod
 from . import czindex, energy, models, trees
 from . import dga as dga_mod
-from .errors import DomainError, DSquareNonzero
+from .errors import BidegreeViolation, DomainError, DSquareNonzero
 from .ring import RING_QU, rat
 
 MACHINE_HEADER = "sftkit.machine/1"
@@ -36,10 +36,6 @@ def _emit(args, payload: dict, table_lines):
     else:
         for line in table_lines:
             print(line)
-
-
-def _fr(x) -> str:
-    return str(x)
 
 
 def _load_json(path: str) -> dict:
@@ -62,7 +58,7 @@ def _cmd_cz(args) -> int:
     elif args.shear is not None:
         blocks, loop_k = args.shear
         value = czindex.rs_shear(blocks, loop_k)
-        _emit(args, {"op": "shear", "value": _fr(value)}, [str(value)])
+        _emit(args, {"op": "shear", "value": str(value)}, [str(value)])
     elif args.crossing is not None:
         path = czindex.PathSpec("rotation", lam_end=rat(args.crossing))
         value = czindex.cz_crossing(path, subdivisions=args.subdivisions)
@@ -169,19 +165,19 @@ def _cmd_energy(args) -> int:
     if args.glue is not None:
         value = energy.glue_energy(rat(args.glue[0]), rat(args.glue[1]),
                                    args.symplectization)
-        _emit(args, {"op": "glue", "value": _fr(value)}, [str(value)])
+        _emit(args, {"op": "glue", "value": str(value)}, [str(value)])
     elif args.type_a is not None:
         d = energy.TypeADecomposition(rat(args.type_a[0]), rat(args.type_a[1]),
                                       empty_negative_end=args.empty_negative)
         value = energy.type_a_energy(d)
-        _emit(args, {"op": "type_a", "value": _fr(value)}, [str(value)])
+        _emit(args, {"op": "type_a", "value": str(value)}, [str(value)])
     elif args.type_b is not None:
         doc = _load_json(args.type_b)
         d = energy.TypeBDecomposition([tuple(rat(str(x)) for x in row) for row in doc["samples"]])
         res = energy.type_b_energy(d)
-        _emit(args, {"op": "type_b", "value": _fr(res.energy),
-                     "induced_at_zero": _fr(res.induced_at_zero),
-                     "induced_at_infinity": _fr(res.induced_at_infinity)},
+        _emit(args, {"op": "type_b", "value": str(res.energy),
+                     "induced_at_zero": str(res.induced_at_zero),
+                     "induced_at_infinity": str(res.induced_at_infinity)},
               [str(res.energy), f"induced-at-zero {res.induced_at_zero}",
                f"induced-at-infinity {res.induced_at_infinity}"])
     elif args.r_plus is not None:
@@ -214,8 +210,7 @@ def _cmd_dga(args) -> int:
     if args.bidegree:
         problems = algebra.check_bidegree()
         if problems:
-            print(f"error: BidegreeViolation: {problems[0]}", file=sys.stderr)
-            return EXIT_DOMAIN
+            raise BidegreeViolation(problems[0])
         _emit(args, {"op": "bidegree", "value": True}, ["bidegree (-1, 0)"])
         did_something = True
     if args.linearize is not None:

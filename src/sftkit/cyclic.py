@@ -16,7 +16,7 @@ prenecklace recursion (Ruskey & Sawada, SIAM J. Comput. 1999); in
 commutative mode every nonzero normalized word is alone in its class.
 
 Degree-0 generators are rejected: each graded piece must be a finite module.
-Degrees whose predicted class count exceeds ``CYCLIC_CLASS_LIMIT``, and
+Degrees whose predicted class count exceeds ``dga.BASIS_LIMIT``, and
 associative windows whose words may exceed ``dga.WORD_LENGTH_LIMIT`` letters,
 are refused with ``TooLarge`` before anything is enumerated.
 """
@@ -24,9 +24,11 @@ are refused with ``TooLarge`` before anything is enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .dga import (
+    BASIS_LIMIT,
     DGA,
     MODE_ASSOCIATIVE,
     AlgebraElement,
@@ -34,18 +36,16 @@ from .dga import (
     Coeff,
     HomologySummary,
     Word,
-    coeff_one,
-    coeff_zero,
+    _add_composable_row,
+    _composable,
+    _letters,
+    _normal_words,
+    assemble_boundary,
     homology,
     refuse_long_words,
     word_basis,
 )
 from .errors import InfiniteBasis, TooLarge
-
-# Largest predicted number of classes in one degree that cyclic_basis will
-# enumerate.  Boundary matrices are dense, so this caps each at 4 million
-# cells; the exact pair's window 0..19 (763 classes in degree 20) fits.
-CYCLIC_CLASS_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,6 @@ class CyclicWord:
 
     def __str__(self):
         return "[" + "*".join(self.word) + "]"
-
-
-def _composable(left_source, right_target) -> bool:
-    """Whether a letter leaving ``left_source`` may precede one entering
-    ``right_target``; orbits (None) compose with anything."""
-    return left_source is None or right_target is None or left_source == right_target
 
 
 def _least_rotation(word: Word) -> Tuple[int, int]:
@@ -102,7 +96,7 @@ def rotation_class(dga: DGA, word: Word) -> Optional[Tuple[Word, int]]:
         normal, coeff = dga.normalize_word(word)
         if not coeff:
             return None
-        return normal, (1 if coeff == coeff_one(dga.ring) else -1)
+        return normal, (1 if coeff == 1 else -1)
     gens = [dga.generators[name] for name in word]
     if len(gens) > 1:
         for left, right in zip(gens[-1:] + gens[:-1], gens):
@@ -126,67 +120,12 @@ def project_word(dga: DGA, word: Word, coeff) -> Optional[Tuple[Word, Coeff]]:
     return canonical, coeff * sign
 
 
-def _letters(dga: DGA, link: Optional[int]) -> List[tuple]:
-    """(name, degree, link weight, source, target) of every generator a class
-    of the requested link may contain, in name order.  Letters without a link
-    are dropped when a link is requested; with none requested every weight
-    is 0.  Source and target are chord endpoints in associative mode, None
-    otherwise."""
-    out = []
-    for name in sorted(dga.generators):
-        g = dga.generators[name]
-        if link is not None and g.link is None:
-            continue
-        ends = g.kind[1:] if g.is_chord and dga.mode == MODE_ASSOCIATIVE else (None, None)
-        out.append((name, g.degree, 0 if link is None else g.link) + ends)
-    return out
-
-
 def _refuse_oversized(degree: int, bound: int):
-    if bound > CYCLIC_CLASS_LIMIT:
+    if bound > BASIS_LIMIT:
         raise TooLarge(
             f"cyclic basis in degree {degree} predicted up to {bound} classes "
-            f"(limit {CYCLIC_CLASS_LIMIT})"
+            f"(limit {BASIS_LIMIT})"
         )
-
-
-def _anchored_words(letters: List[tuple], degrees: range, link: int) -> List[Dict[tuple, int]]:
-    """Per degree r < degrees.stop: {(link, source of the last letter): count}
-    over nonempty words whose adjacent letters compose, each word counted with
-    the degree of its first letter (the words anchored at one point of a
-    circle of circumference r).
-
-    Rows are built in increasing degree, and a degree in ``degrees`` is
-    refused as soon as its row gives a class bound above the limit.
-    """
-    table: List[Dict[tuple, int]] = [{}]
-    for r in range(1, degrees.stop):
-        row: Dict[tuple, int] = {}
-        for _, deg, lk, src, tgt in letters:
-            if deg == r:
-                row[lk, src] = row.get((lk, src), 0) + deg
-            elif deg < r:
-                for (s, c), count in table[r - deg].items():
-                    if _composable(c, tgt):
-                        row[s + lk, src] = row.get((s + lk, src), 0) + count
-        table.append(row)
-        if r in degrees:
-            _refuse_oversized(r, _class_bound(table, r, link))
-    return table
-
-
-def _normal_words(dga: DGA, letters: List[tuple], top: int) -> List[Dict[int, int]]:
-    """Per degree r <= top: {link: count} of normalized commutative words."""
-    table: List[Dict[int, int]] = [{} for _ in range(top + 1)]
-    table[0][0] = 1
-    for name, deg, lk, _, _ in letters:
-        odd = dga.generators[name].parity
-        # odd letters at most once (descending sweep), even ones any number
-        for r in (range(top - deg, -1, -1) if odd else range(top - deg + 1)):
-            for s, count in table[r].items():
-                row = table[r + deg]
-                row[s + lk] = row.get(s + lk, 0) + count
-    return table
 
 
 def _class_bound(anchored: List[Dict[tuple, int]], degree: int, link: int) -> int:
@@ -255,7 +194,7 @@ def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict
     """Canonical representatives of the nonzero classes, per degree in [lo, hi].
 
     Raises TooLarge, before enumerating any degree, when some degree's
-    predicted class count exceeds CYCLIC_CLASS_LIMIT or, in associative
+    predicted class count exceeds BASIS_LIMIT or, in associative
     mode, when words of degree ``hi`` may exceed WORD_LENGTH_LIMIT letters.
     """
     if any(g.degree <= 0 for g in dga.generators.values()):
@@ -266,7 +205,13 @@ def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict
     out: Dict[int, Tuple[CyclicWord, ...]] = {k: () for k in range(lo, hi + 1)}
     if dga.mode == MODE_ASSOCIATIVE:
         refuse_long_words(dga, hi)
-        table = _anchored_words(letters, degrees, target)
+        # rows are built in increasing degree, so an oversized window stops
+        # at its first oversized degree
+        table: List[Dict[tuple, int]] = [{}]
+        for k in range(1, hi + 1):
+            _add_composable_row(table, letters, True)
+            if k in degrees:
+                _refuse_oversized(k, _class_bound(table, k, target))
         reach = [{0}] + [{s for s, _ in row} for row in table[1:]]
         for k in degrees:
             out[k] = tuple(CyclicWord(w, k, dga.link_of_word(w))
@@ -283,9 +228,7 @@ def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict
 
 def cyclic_differential(dga: DGA, cw: CyclicWord) -> Dict[Word, Coeff]:
     """Differential of a class: differentiate the representative, project."""
-    image = dga.apply_differential(
-        AlgebraElement(dga.ring, {cw.word: coeff_one(dga.ring)})
-    )
+    image = dga.apply_differential(AlgebraElement(dga.ring, {cw.word: 1}))
     acc: Dict[Word, Coeff] = {}
     for word, coeff in image.terms.items():
         if not word:
@@ -294,7 +237,7 @@ def cyclic_differential(dga: DGA, cw: CyclicWord) -> Dict[Word, Coeff]:
         if projected is None:
             continue
         canonical, value = projected
-        total = acc.get(canonical, coeff_zero(dga.ring)) + value
+        total = acc[canonical] + value if canonical in acc else value
         if total:
             acc[canonical] = total
         elif canonical in acc:
@@ -305,29 +248,14 @@ def cyclic_differential(dga: DGA, cw: CyclicWord) -> Dict[Word, Coeff]:
 def cyclic_complex(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> ChainComplex:
     """Coinvariant complex on [lo-1, hi+1], ready for homology in [lo, hi]."""
     span_lo = max(lo - 1, 0)
-    basis_words = cyclic_basis(dga, span_lo, hi + 1, link=link)
-    basis = {k: tuple(cw.word for cw in words) for k, words in basis_words.items()}
+    classes = cyclic_basis(dga, span_lo, hi + 1, link=link)
+    basis = {k: tuple(cw.word for cw in words) for k, words in classes.items()}
+    image = partial(cyclic_differential, dga)
     boundary = {}
-    from .ring import ExactMatrix
-
     for k in range(span_lo + 1, hi + 2):
-        rows, cols = basis.get(k - 1, ()), basis.get(k, ())
-        if not rows or not cols:
-            continue
-        row_index = {w: i for i, w in enumerate(rows)}
-        mat = [[coeff_zero(dga.ring)] * len(cols) for _ in range(len(rows))]
-        nonzero = False
-        for j, word in enumerate(cols):
-            cw = CyclicWord(word, k, dga.link_of_word(word))
-            for target, coeff in cyclic_differential(dga, cw).items():
-                if target not in row_index:
-                    raise ValueError(
-                        f"differential left the enumerated window at {target}"
-                    )
-                mat[row_index[target]][j] = coeff
-                nonzero = True
-        if nonzero:
-            boundary[k] = ExactMatrix(dga.ring, mat)
+        mat = assemble_boundary(dga.ring, basis[k - 1], classes[k], image)
+        if mat is not None:
+            boundary[k] = mat
     return ChainComplex(dga.ring, basis, boundary)
 
 

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import DSquareNonzero, InfiniteBasis, NonComposable, NotAChainMap, TooLarge
-from .ring import RING_Q, RING_QU, ExactMatrix, UPoly, _rank_q, rat, smith_normal_form
+from .errors import (BidegreeViolation, DSquareNonzero, InfiniteBasis, NonComposable,
+                     NotAChainMap, TooLarge)
+from .ring import (RING_Q, RING_QU, ExactMatrix, UPoly, _rank_q, coerce, one, rat,
+                   smith_normal_form, zero)
 
 Coeff = Union[Fraction, UPoly]
 Word = Tuple[str, ...]
@@ -57,26 +59,6 @@ class Generator:
         return (self.degree, self.link if self.link is not None else 0, self.name)
 
 
-def coeff_zero(ring: str) -> Coeff:
-    return Fraction(0) if ring == RING_Q else UPoly()
-
-
-def coeff_one(ring: str) -> Coeff:
-    return Fraction(1) if ring == RING_Q else UPoly.const(1)
-
-
-def coerce_coeff(ring: str, x) -> Coeff:
-    if ring == RING_Q:
-        if isinstance(x, UPoly):
-            if x.degree > 0:
-                raise ValueError("polynomial coefficient in a Q algebra")
-            return x.coeffs[0] if x.coeffs else Fraction(0)
-        return rat(x)
-    if isinstance(x, UPoly):
-        return x
-    return UPoly.const(rat(x))
-
-
 class AlgebraElement:
     """Finite linear combination of normalized words."""
 
@@ -85,7 +67,7 @@ class AlgebraElement:
     def __init__(self, ring: str, terms: Optional[Dict[Word, Coeff]] = None):
         clean = {}
         for word, coeff in (terms or {}).items():
-            coeff = coerce_coeff(ring, coeff)
+            coeff = coerce(ring, coeff)
             if coeff:
                 clean[tuple(word)] = coeff
         object.__setattr__(self, "ring", ring)
@@ -108,7 +90,7 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, coeff_zero(self.ring)) + c
+            out[w] = out[w] + c if w in out else c
         return AlgebraElement(self.ring, out)
 
     def __neg__(self):
@@ -118,7 +100,7 @@ class AlgebraElement:
         return self + (-other)
 
     def scaled(self, factor) -> "AlgebraElement":
-        factor = coerce_coeff(self.ring, factor)
+        factor = coerce(self.ring, factor)
         return AlgebraElement(self.ring, {w: c * factor for w, c in self.terms.items()})
 
     def sorted_terms(self) -> List[Tuple[Word, Coeff]]:
@@ -193,7 +175,7 @@ class DGA:
         return AlgebraElement(self.ring)
 
     def unit(self) -> AlgebraElement:
-        return AlgebraElement(self.ring, {(): coeff_one(self.ring)})
+        return AlgebraElement(self.ring, {(): one(self.ring)})
 
     def element(self, terms: Dict[Word, Coeff]) -> AlgebraElement:
         return self.normalize_element(AlgebraElement(self.ring, terms))
@@ -207,7 +189,7 @@ class DGA:
         associative mode keeps the order and checks chord composability.
         """
         word = tuple(word)
-        coeff = coerce_coeff(self.ring, coeff)
+        coeff = coerce(self.ring, coeff)
         for g in word:
             if g not in self.generators:
                 raise KeyError(f"unknown generator {g!r}")
@@ -227,7 +209,7 @@ class DGA:
                 j -= 1
         for a, b in zip(letters, letters[1:]):
             if a == b and self.generators[a].parity:
-                return tuple(letters), coeff_zero(self.ring)
+                return tuple(letters), zero(self.ring)
         return tuple(letters), coeff * sign
 
     def _gen_key(self, name: str) -> tuple:
@@ -250,7 +232,7 @@ class DGA:
         for word, coeff in elem.terms.items():
             nw, nc = self.normalize_word(word, coeff)
             if nc:
-                out[nw] = out.get(nw, coeff_zero(self.ring)) + nc
+                out[nw] = out[nw] + nc if nw in out else nc
         return AlgebraElement(self.ring, out)
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -259,7 +241,7 @@ class DGA:
             for wb, cb in b.terms.items():
                 nw, nc = self.normalize_word(wa + wb, ca * cb)
                 if nc:
-                    out[nw] = out.get(nw, coeff_zero(self.ring)) + nc
+                    out[nw] = out[nw] + nc if nw in out else nc
         return AlgebraElement(self.ring, out)
 
     # differential ----------------------------------------------------------
@@ -281,7 +263,7 @@ class DGA:
                             prefix + dword + suffix, coeff * dcoeff * sign
                         )
                         if nc:
-                            acc[nw] = acc.get(nw, coeff_zero(self.ring)) + nc
+                            acc[nw] = acc[nw] + nc if nw in acc else nc
                 if self.generators[letter].parity:
                     sign = -sign
         return AlgebraElement(self.ring, acc)
@@ -356,7 +338,7 @@ def augment(dga: DGA, eps: Optional[Dict[str, Coeff]] = None) -> Augmentation:
     eps = dict(eps or {})
     values: Dict[str, Coeff] = {}
     for name, g in dga.generators.items():
-        c = coerce_coeff(dga.ring, eps.get(name, 0))
+        c = coerce(dga.ring, eps.get(name, 0))
         if c and g.degree != 0:
             raise ValueError(
                 f"augmentation supported on {name!r} of degree {g.degree}; needs degree 0"
@@ -364,7 +346,7 @@ def augment(dga: DGA, eps: Optional[Dict[str, Coeff]] = None) -> Augmentation:
         values[name] = c
 
     def eps_of_element(elem: AlgebraElement) -> Coeff:
-        total = coeff_zero(dga.ring)
+        total = zero(dga.ring)
         for word, coeff in elem.terms.items():
             factor = coeff
             for letter in word:
@@ -401,11 +383,6 @@ class ChainComplex:
     def dim(self, k: int) -> int:
         return len(self.basis.get(k, ()))
 
-    def boundary_matrix(self, k: int) -> ExactMatrix:
-        if k in self.boundary:
-            return self.boundary[k]
-        return ExactMatrix.zeros(self.ring, self.dim(k - 1), self.dim(k))
-
     def verify(self):
         _check_square_zero(self, self.boundary)
         return self
@@ -439,6 +416,40 @@ def _check_square_zero(cx: ChainComplex, degrees: Iterable[int]) -> None:
                 raise DSquareNonzero(f"d^2 != 0 from degree {k}")
 
 
+def _text(x) -> str:
+    return ("*".join(x) or "1") if isinstance(x, tuple) else str(x)
+
+
+def assemble_boundary(ring: str, rows: Sequence, cols: Sequence, image) -> Optional[ExactMatrix]:
+    """Matrix of a differential from the span of ``cols`` to the span of
+    ``rows``, where ``image(col)`` gives {row element: coeff}; None when every
+    entry is zero.  This is the only builder of boundary matrices.
+
+    A term outside ``rows`` leaves the next degree down (or the requested
+    link) and raises BidegreeViolation, however the basis was enumerated.
+    """
+    if not cols:
+        return None
+    index = {w: i for i, w in enumerate(rows)}
+    entries = {}
+    for j, col in enumerate(cols):
+        for target, coeff in image(col).items():
+            i = index.get(target)
+            if i is None:
+                raise BidegreeViolation(
+                    f"d({_text(col)}) has the term {_text(target)} outside the next degree down"
+                )
+            if coeff:
+                entries[i, j] = coeff
+    if not entries:
+        return None
+    z = zero(ring)
+    mat = [[z] * len(cols) for _ in rows]
+    for (i, j), coeff in entries.items():
+        mat[i][j] = coeff
+    return ExactMatrix(ring, mat)
+
+
 def linearize(dga: DGA, aug: Augmentation) -> ChainComplex:
     """Linearized complex at an augmentation: basis the generators.
 
@@ -449,42 +460,26 @@ def linearize(dga: DGA, aug: Augmentation) -> ChainComplex:
     """
     degrees = sorted({g.degree for g in dga.generators.values()})
     basis = {d: tuple(n for n, g in dga.generators.items() if g.degree == d) for d in degrees}
-    index = {
-        d: {name: i for i, name in enumerate(names)} for d, names in basis.items()
-    }
 
-    columns: Dict[int, Dict[Tuple[int, int], Coeff]] = {}
-    for name, g in dga.generators.items():
-        col = index[g.degree][name]
-        image = dga.d_of_generator(name)
-        for word, coeff in image.terms.items():
+    def image(name: str) -> Dict[str, Coeff]:
+        out: Dict[str, Coeff] = {}
+        for word, coeff in dga.d_of_generator(name).terms.items():
             for i, letter in enumerate(word):
                 factor = coeff
                 for j, other in enumerate(word):
                     if j == i:
                         continue
-                    factor = factor * coerce_coeff(dga.ring, aug.value(other))
+                    factor = factor * coerce(dga.ring, aug.value(other))
                     if not factor:
                         break
-                if not factor:
-                    continue
-                target = dga.generators[letter]
-                if target.degree != g.degree - 1:
-                    raise ValueError(
-                        f"d({name}) is not homogeneous of degree -1 at word {word}"
-                    )
-                row = index[target.degree][letter]
-                cell = columns.setdefault(g.degree, {})
-                cell[(row, col)] = cell.get((row, col), coeff_zero(dga.ring)) + factor
+                if factor:
+                    out[letter] = out[letter] + factor if letter in out else factor
+        return out
 
     boundary = {}
-    for k, cells in columns.items():
-        nrows, ncols = len(basis.get(k - 1, ())), len(basis.get(k, ()))
-        rows = [[coeff_zero(dga.ring)] * ncols for _ in range(nrows)]
-        for (r, c), val in cells.items():
-            rows[r][c] = val
-        mat = ExactMatrix(dga.ring, rows)
-        if any(v for row in mat.rows for v in row):
+    for k in degrees:
+        mat = assemble_boundary(dga.ring, basis.get(k - 1, ()), basis[k], image)
+        if mat is not None:
             boundary[k] = mat
     return ChainComplex(dga.ring, basis, boundary).verify()
 
@@ -493,6 +488,12 @@ def linearize(dga: DGA, aug: Augmentation) -> ChainComplex:
 # build.  Both recurse once per letter, so this keeps them well under
 # Python's default limit of 1000 frames.
 WORD_LENGTH_LIMIT = 500
+
+# Largest number of basis elements in one degree that word_complex (words)
+# and cyclic.cyclic_basis (predicted classes) will enumerate.  Boundary
+# matrices are dense, so this caps each at 4 million cells; the exact pair's
+# cyclic window 0..19 (763 classes in degree 20) fits.
+BASIS_LIMIT = 2000
 
 
 def refuse_long_words(dga: DGA, degree: int) -> None:
@@ -508,6 +509,82 @@ def refuse_long_words(dga: DGA, degree: int) -> None:
             f"associative words of degree {degree} reach length {length} "
             f"(limit {WORD_LENGTH_LIMIT})"
         )
+
+
+def _composable(left_source, right_target) -> bool:
+    """Whether a letter leaving ``left_source`` may precede one entering
+    ``right_target``; orbits (None) compose with anything."""
+    return left_source is None or right_target is None or left_source == right_target
+
+
+def _letters(dga: DGA, link: Optional[int]) -> List[tuple]:
+    """(name, degree, link weight, source, target) of every generator a word
+    of the requested link may contain, in name order.  Letters without a link
+    are dropped when a link is requested; with none requested every weight
+    is 0.  Source and target are chord endpoints in associative mode, None
+    otherwise."""
+    out = []
+    for name in sorted(dga.generators):
+        g = dga.generators[name]
+        if link is not None and g.link is None:
+            continue
+        ends = g.kind[1:] if g.is_chord and dga.mode == MODE_ASSOCIATIVE else (None, None)
+        out.append((name, g.degree, 0 if link is None else g.link) + ends)
+    return out
+
+
+def _add_composable_row(table: List[Dict[tuple, int]], letters: List[tuple], anchored: bool):
+    """Append to ``table``, whose row r' holds the words of degree r' for every
+    r' < r = len(table), the row of degree r: {(link, source of the last
+    letter): count} over nonempty associative words whose adjacent letters
+    compose.  Each word counts once or, when ``anchored``, as often as the
+    degree of its first letter (the words anchored at one point of a circle
+    of circumference r).  Row 0 is empty."""
+    r = len(table)
+    row: Dict[tuple, int] = {}
+    for _, deg, lk, src, tgt in letters:
+        if deg == r:
+            row[lk, src] = row.get((lk, src), 0) + (deg if anchored else 1)
+        elif deg < r:
+            for (s, c), count in table[r - deg].items():
+                if _composable(c, tgt):
+                    row[s + lk, src] = row.get((s + lk, src), 0) + count
+    table.append(row)
+
+
+def _normal_words(dga: DGA, letters: List[tuple], top: int) -> List[Dict[int, int]]:
+    """Per degree r <= top: {link: count} of normalized commutative words."""
+    table: List[Dict[int, int]] = [{} for _ in range(top + 1)]
+    table[0][0] = 1
+    for name, deg, lk, _, _ in letters:
+        odd = dga.generators[name].parity
+        # odd letters at most once (descending sweep), even ones any number
+        for r in (range(top - deg, -1, -1) if odd else range(top - deg + 1)):
+            for s, count in table[r].items():
+                row = table[r + deg]
+                row[s + lk] = row.get(s + lk, 0) + count
+    return table
+
+
+def _refuse_large_word_bases(dga: DGA, lo: int, hi: int) -> None:
+    """Raise TooLarge when a degree in [lo, hi] has more than BASIS_LIMIT
+    normalized words, counted from tables without listing any word.  Bases
+    with generators of degree <= 0 are left to raise InfiniteBasis."""
+    if hi < 1 or any(g.degree <= 0 for g in dga.generators.values()):
+        return
+    letters = _letters(dga, None)
+    if dga.mode == MODE_ASSOCIATIVE:
+        table: List[Dict[tuple, int]] = [{}]
+        for _ in range(hi):
+            _add_composable_row(table, letters, False)
+        counts = [sum(row.values()) for row in table]
+    else:
+        counts = [row.get(0, 0) for row in _normal_words(dga, letters, hi)]
+    for k in range(max(lo, 1), hi + 1):
+        if counts[k] > BASIS_LIMIT:
+            raise TooLarge(
+                f"word basis in degree {k} has {counts[k]} words (limit {BASIS_LIMIT})"
+            )
 
 
 def word_basis(dga: DGA, degree: int) -> Tuple[Word, ...]:
@@ -559,25 +636,25 @@ def word_basis(dga: DGA, degree: int) -> Tuple[Word, ...]:
 
 
 def word_complex(dga: DGA, lo: int, hi: int) -> ChainComplex:
-    """The full algebra as a complex of free modules on word bases in [lo, hi]."""
+    """The full algebra as a complex of free modules on word bases in [lo, hi].
+
+    Raises TooLarge, before enumerating any degree, when some degree has more
+    than BASIS_LIMIT words or, in associative mode, when words of degree
+    ``hi`` may exceed WORD_LENGTH_LIMIT letters.
+    """
     refuse_long_words(dga, hi)
+    _refuse_large_word_bases(dga, lo, hi)
     basis = {k: word_basis(dga, k) for k in range(lo, hi + 1)}
-    boundary: Dict[int, ExactMatrix] = {}
+    unit = one(dga.ring)
+
+    def image(word: Word) -> Dict[Word, Coeff]:
+        return dga.apply_differential(AlgebraElement(dga.ring, {word: unit})).terms
+
+    boundary = {}
     for k in range(lo + 1, hi + 1):
-        rows_basis, cols_basis = basis.get(k - 1, ()), basis.get(k, ())
-        if not rows_basis or not cols_basis:
-            continue
-        row_index = {w: i for i, w in enumerate(rows_basis)}
-        mat = [[coeff_zero(dga.ring)] * len(cols_basis) for _ in range(len(rows_basis))]
-        nonzero = False
-        for j, word in enumerate(cols_basis):
-            image = dga.apply_differential(AlgebraElement(dga.ring, {word: coeff_one(dga.ring)}))
-            for w, c in image.terms.items():
-                if w in row_index:
-                    mat[row_index[w]][j] = c
-                    nonzero = True
-        if nonzero:
-            boundary[k] = ExactMatrix(dga.ring, mat)
+        mat = assemble_boundary(dga.ring, basis[k - 1], basis[k], image)
+        if mat is not None:
+            boundary[k] = mat
     return ChainComplex(dga.ring, basis, boundary)
 
 
@@ -656,15 +733,8 @@ def dga_from_doc(doc: dict) -> DGA:
             for entry in entries:
                 word = tuple(str(x) for x in entry["word"])
                 q = rat(str(entry["coeff"]))
-                upow = int(entry.get("upow", 0))
-                if ring == RING_Q:
-                    if upow != 0:
-                        raise ValueError("upow must be 0 over Q")
-                    add: Coeff = q
-                else:
-                    add = UPoly.monomial(upow, q)
-                zero = coeff_zero(ring)
-                terms[word] = terms.get(word, zero) + add
+                add = coerce(ring, UPoly.monomial(int(entry.get("upow", 0)), q))
+                terms[word] = terms[word] + add if word in terms else add
             diff[name] = AlgebraElement(ring, terms)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed algebra document: {exc}") from exc

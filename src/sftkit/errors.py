@@ -75,6 +75,10 @@ class DSquareNonzero(DomainError):
     """The differential does not square to zero."""
 
 
+class BidegreeViolation(DomainError):
+    """A differential term leaves the next degree down or the linking degree."""
+
+
 class InfiniteBasis(DomainError):
     """Requested window has infinitely many basis words (degree-0 generators)."""
 

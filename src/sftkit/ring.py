@@ -3,8 +3,10 @@
 Everything here is exact.  Rationals are ``fractions.Fraction`` (arbitrary
 precision), polynomials store a tuple of rational coefficients indexed by the
 exponent of U, and matrices carry a ring tag ("Q" or "QU") so that the normal
-form routines know which division rule applies.  No value is mutated after
-construction; all operations return new values.
+form routines know which division rule applies.  ``coerce`` is the one rule
+for what a coefficient of each ring is; matrices and algebra elements both
+use it.  No value is mutated after construction; all operations return new
+values.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
-
-Rational = Fraction
+from typing import Iterable, Sequence
 
 RING_Q = "Q"
 RING_QU = "QU"
@@ -83,7 +83,7 @@ class UPoly:
         return UPoly([c / lead for c in self.coeffs])
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         other = _as_poly(other)
@@ -221,14 +221,6 @@ def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
     return a.monic() if not a.is_zero() else a
 
 
-def poly_arith(a: UPoly, b: UPoly, op: str) -> UPoly:
-    if op == "add":
-        return _as_poly(a) + _as_poly(b)
-    if op == "mul":
-        return _as_poly(a) * _as_poly(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def parse_upoly(text: str) -> UPoly:
     """Parse strings like '2*U^2 - U + 1/2' (also bare rationals)."""
     s = text.replace(" ", "")
@@ -261,50 +253,47 @@ def parse_upoly(text: str) -> UPoly:
     return acc
 
 
-ScalarLike = Union[int, Fraction, UPoly]
-
-
-def _coerce(ring: str, x) -> ScalarLike:
+def coerce(ring: str, x):
+    """The coefficient ``x`` as an element of ``ring``: a Fraction over Q
+    ("Q"), a UPoly over Q[U] ("QU").  Both accept ints, rational strings and
+    Fractions; over Q a UPoly only when it is constant.  Floats raise
+    TypeError and unknown ring tags ValueError."""
     if ring == RING_Q:
         if isinstance(x, UPoly):
             if x.degree > 0:
-                raise ValueError("nonconstant polynomial in a Q matrix")
+                raise ValueError(f"nonconstant polynomial {x} over Q")
             return x.coeffs[0] if x.coeffs else Fraction(0)
         return rat(x)
     if ring == RING_QU:
-        p = _as_poly(x)
-        if p is NotImplemented:
-            raise TypeError(f"cannot coerce {x!r} into Q[U]")
-        return p
+        return x if isinstance(x, UPoly) else UPoly.const(x)
     raise ValueError(f"unknown ring tag {ring!r}")
 
 
-def _zero(ring: str):
-    return Fraction(0) if ring == RING_Q else UPoly()
-
-def _one(ring: str):
-    return Fraction(1) if ring == RING_Q else UPoly.const(1)
+def zero(ring: str):
+    return coerce(ring, 0)
 
 
-def _euclid_size(ring: str, x) -> int:
-    # Euclidean norm: 0 for units; polynomial degree over Q[U].
+def one(ring: str):
+    return coerce(ring, 1)
+
+
+def _euclid(ring: str):
+    """The Euclidean rule of ``ring`` as functions (size, divmod, unit).
+
+    Over Q every nonzero entry is a unit of size 0 and divides exactly.  Over
+    Q[U] the size is the degree, division is long division, and the unit
+    part of an entry is its leading coefficient, kept as a constant UPoly so
+    that scaling by it stays polynomial arithmetic.  ``unit(x)`` returns the
+    unit part of a nonzero x and its inverse.
+    """
     if ring == RING_Q:
-        return 0
-    return x.degree
+        return (lambda x: 0), (lambda a, b: (a / b, Fraction(0))), (lambda x: (x, 1 / x))
 
+    def unit(p: UPoly):
+        lead = p.coeffs[-1]
+        return UPoly.const(lead), UPoly.const(1 / lead)
 
-def _divmod(ring: str, a, b):
-    if ring == RING_Q:
-        return a / b, Fraction(0)
-    return a.divmod(b)
-
-
-def _unit_normalize(ring: str, a):
-    """Return (u, a/u) with u a unit making a/u canonical (1 over Q, monic over Q[U])."""
-    if ring == RING_Q:
-        return a, Fraction(1)
-    lead = a.leading()
-    return UPoly.const(lead), a.monic()
+    return (lambda p: p.degree), UPoly.divmod, unit
 
 
 @dataclass(frozen=True)
@@ -339,7 +328,7 @@ class ExactMatrix:
                 raise ValueError("matrix rows have unequal lengths")
         else:
             width = 0
-        coerced = tuple(tuple(_coerce(ring, x) for x in r) for r in rows)
+        coerced = tuple(tuple(coerce(ring, x) for x in r) for r in rows)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", coerced)
         object.__setattr__(self, "nrows", len(coerced))
@@ -350,13 +339,8 @@ class ExactMatrix:
 
     @staticmethod
     def identity(ring: str, n: int) -> "ExactMatrix":
-        one, zero = _one(ring), _zero(ring)
-        return ExactMatrix(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(ring: str, nrows: int, ncols: int) -> "ExactMatrix":
-        zero = _zero(ring)
-        return ExactMatrix(ring, [[zero] * ncols for _ in range(nrows)])
+        e, z = one(ring), zero(ring)
+        return ExactMatrix(ring, [[e if i == j else z for j in range(n)] for i in range(n)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -373,60 +357,17 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring != other.ring or self.ncols != other.nrows:
             raise ValueError("incompatible matrices")
-        zero = _zero(self.ring)
+        z = zero(self.ring)
         out = []
         for i in range(self.nrows):
             row = []
             for j in range(other.ncols):
-                acc = zero
+                acc = z
                 for k in range(self.ncols):
                     acc = acc + self.rows[i][k] * other.rows[k][j]
                 row.append(acc)
             out.append(row)
         return ExactMatrix(self.ring, out)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.ring, list(zip(*self.rows)) if self.rows else [])
-
-    def evaluate(self, s) -> "ExactMatrix":
-        """Substitute U := s, landing in a Q matrix."""
-        if self.ring == RING_Q:
-            return self
-        return ExactMatrix(RING_Q, [[e.evaluate(s) for e in row] for row in self.rows])
-
-    def det(self):
-        """Determinant by division-free cofactor expansion (square matrices)."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return _one(self.ring)
-
-        from functools import lru_cache
-
-        cols0 = tuple(range(n))
-
-        @lru_cache(maxsize=None)
-        def minor(row: int, cols: tuple):
-            if row == n:
-                return _one(self.ring)
-            acc = _zero(self.ring)
-            for pos, j in enumerate(cols):
-                entry = self.rows[row][j]
-                if not entry:
-                    continue
-                sub = minor(row + 1, cols[:pos] + cols[pos + 1:])
-                term = entry * sub
-                acc = acc + term if pos % 2 == 0 else acc - term
-            return acc
-
-        return minor(0, cols0)
-
-    def rank(self) -> int:
-        """Rank over the fraction field (Q, or Q(U) via fraction-free elimination)."""
-        if self.ring == RING_Q:
-            return _rank_q(self.rows)
-        return _rank_qu(self.rows)
 
     def __str__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
@@ -475,31 +416,6 @@ def _rank_q(rows) -> int:
     return len(pivots)
 
 
-def _rank_qu(rows) -> int:
-    # Fraction-free elimination: cross-multiply rows; content is never
-    # divided out, so entries grow with every elimination step.
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0]) if m else 0
-    rank = 0
-    row = 0
-    for col in range(nc):
-        pivot = next((r for r in range(row, nr) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        p = m[row][col]
-        for r in range(row + 1, nr):
-            if m[r][col].is_zero():
-                continue
-            f = m[r][col]
-            m[r] = [p * a - f * b for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
-
-
 def smith_normal_form(m: ExactMatrix) -> SmithResult:
     """Smith normal form over Q or Q[U] with exact transform certificates.
 
@@ -545,27 +461,14 @@ def smith_normal_form(m: ExactMatrix) -> SmithResult:
             right[r][dst] = right[r][dst] + f * right[r][src]
         rinv[src] = [x - f * y for x, y in zip(rinv[src], rinv[dst])]
 
-    def scale_row(i, u):
-        # row_i *= 1/u for a unit u.
-        if ring == RING_Q:
-            inv = 1 / u
-            a[i] = [x * inv for x in a[i]]
-            left[i] = [x * inv for x in left[i]]
-            for r in range(nr):
-                linv[r][i] = linv[r][i] * u
-        else:
-            inv = UPoly.const(1 / u.coeffs[0])
-            a[i] = [x * inv for x in a[i]]
-            left[i] = [x * inv for x in left[i]]
-            for r in range(nr):
-                linv[r][i] = linv[r][i] * u
+    def scale_row(i, u, inv):
+        # row_i *= inv for a unit u = 1/inv.
+        a[i] = [x * inv for x in a[i]]
+        left[i] = [x * inv for x in left[i]]
+        for r in range(nr):
+            linv[r][i] = linv[r][i] * u
 
-    def is_zero(x) -> bool:
-        return (x == 0) if ring == RING_Q else x.is_zero()
-
-    def size(x) -> int:
-        return _euclid_size(ring, x)
-
+    size, divmod_, unit = _euclid(ring)
     s = 0
     limit = min(nr, nc)
     while s < limit:
@@ -574,7 +477,7 @@ def smith_normal_form(m: ExactMatrix) -> SmithResult:
         best = None
         for i in range(s, nr):
             for j in range(s, nc):
-                if not is_zero(a[i][j]):
+                if a[i][j]:
                     sz = size(a[i][j])
                     if best is None or sz < best:
                         best, pivot = sz, (i, j)
@@ -587,30 +490,30 @@ def smith_normal_form(m: ExactMatrix) -> SmithResult:
         while dirty:
             dirty = False
             for i in range(s + 1, nr):
-                if is_zero(a[i][s]):
+                if not a[i][s]:
                     continue
-                q, r = _divmod(ring, a[i][s], a[s][s])
+                q, r = divmod_(a[i][s], a[s][s])
                 add_row(i, s, -q)
-                if not is_zero(a[i][s]):
+                if a[i][s]:
                     swap_rows(s, i)
                     dirty = True
             for j in range(s + 1, nc):
-                if is_zero(a[s][j]):
+                if not a[s][j]:
                     continue
-                q, r = _divmod(ring, a[s][j], a[s][s])
+                q, r = divmod_(a[s][j], a[s][s])
                 add_col(j, s, -q)
-                if not is_zero(a[s][j]):
+                if a[s][j]:
                     swap_cols(s, j)
                     dirty = True
         # Enforce divisibility into the trailing block.
         fixed = False
         for i in range(s + 1, nr):
             for j in range(s + 1, nc):
-                if is_zero(a[i][j]):
+                if not a[i][j]:
                     continue
-                _, r = _divmod(ring, a[i][j], a[s][s])
-                if not is_zero(r):
-                    add_row(s, i, _one(ring))
+                _, r = divmod_(a[i][j], a[s][s])
+                if r:
+                    add_row(s, i, one(ring))
                     fixed = True
                     break
             if fixed:
@@ -622,15 +525,11 @@ def smith_normal_form(m: ExactMatrix) -> SmithResult:
     # Unit-normalize the diagonal.
     factors = []
     for i in range(limit):
-        if is_zero(a[i][i]):
+        if not a[i][i]:
             continue
-        u, norm = _unit_normalize(ring, a[i][i])
-        if ring == RING_Q:
-            if u != 1:
-                scale_row(i, u)
-        else:
-            if u != UPoly.const(1):
-                scale_row(i, u)
+        u, inv = unit(a[i][i])
+        if u != 1:
+            scale_row(i, u, inv)
         factors.append(a[i][i])
 
     diag = ExactMatrix(ring, a)

@@ -17,6 +17,7 @@ counting for differential normalization.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -179,9 +180,6 @@ class DecoratedForest:
 
     def outgoing(self, vid: str) -> List[Edge]:
         return [e for e in self.edges.values() if e.src == vid]
-
-    def incoming_edge(self, vid: str) -> Edge:
-        return next(e for e in self.edges.values() if e.dst == vid)
 
     def exterior_orbit_multiset(self) -> tuple:
         labels = [e.orbit.key() for e in self.input_edges() + self.output_edges()]
@@ -396,12 +394,6 @@ def aut_order(forest: DecoratedForest) -> int:
     if len(forest.vertices) > AUT_VERTEX_LIMIT:
         raise TooLarge(f"forest has more than {AUT_VERTEX_LIMIT} vertices")
 
-    def factorial(n: int) -> int:
-        out = 1
-        for k in range(2, n + 1):
-            out *= k
-        return out
-
     def encode(edge: Edge):
         if edge.dst is None:
             return ("leaf", edge.label()), 1
@@ -412,7 +404,7 @@ def aut_order(forest: DecoratedForest) -> int:
         for _, sub in children:
             aut *= sub
         for _, group in itertools.groupby(children, key=lambda pair: pair[0]):
-            aut *= factorial(len(list(group)))
+            aut *= math.factorial(len(list(group)))
         enc = ("node", edge.label(), v.label(), tuple(enc for enc, _ in children))
         return enc, aut
 
@@ -422,7 +414,7 @@ def aut_order(forest: DecoratedForest) -> int:
     for _, sub in comps:
         total *= sub
     for _, group in itertools.groupby(comps, key=lambda pair: pair[0]):
-        total *= factorial(len(list(group)))
+        total *= math.factorial(len(list(group)))
     return total
 
 

@@ -11,6 +11,11 @@ unchanged, as the oracle for the necklace generator in ``sftkit.cyclic``.
 second Smith form of the presentation of the incoming image) are the original
 homology path, the oracles for ``ring._rank_q`` and ``dga.homology``.
 
+``det`` (division-free cofactor expansion), ``rank`` (with ``_rank_qu``,
+fraction-free elimination over Q(U)), ``evaluate`` (U := s) and
+``boundary_matrix`` (a stored boundary or the zero matrix) are matrix
+operations that only the tests use.
+
 Random forests follow the standing geometric hypotheses: orbits in the
 submanifold have normal parity 1 (positive elliptic), and by default every
 vertex satisfies the representability lower bound (s >= -#(outgoing edges in
@@ -22,9 +27,11 @@ import random
 from typing import Dict, Optional, Tuple
 
 from sftkit.cyclic import CyclicWord
-from sftkit.dga import DGA, ChainComplex, Coeff, HomologySummary, Word, coeff_one, word_basis
+from functools import lru_cache
+
+from sftkit.dga import DGA, ChainComplex, Coeff, HomologySummary, Word, word_basis
 from sftkit.errors import InfiniteBasis, NonComposable
-from sftkit.ring import RING_Q, ExactMatrix, smith_normal_form
+from sftkit.ring import RING_Q, ExactMatrix, _rank_q, one, smith_normal_form, zero
 from sftkit.trees import DecoratedForest, Edge, OrbitLabel, Vertex
 
 
@@ -120,7 +127,7 @@ def _rotations(dga: DGA, word: Word):
         if not extra:
             return None  # rotation hits an odd square in commutative mode
         current = rotated
-        sign = sign * (1 if extra == coeff_one(dga.ring) else -1)
+        sign = sign * (1 if extra == one(dga.ring) else -1)
     else:
         # full cycle: returning to the start with -1 kills the class
         if current == word and sign == -1:
@@ -216,8 +223,8 @@ def reference_homology(cx: ChainComplex, lo: int, hi: int) -> Dict[int, Homology
         if n == 0:
             out[k] = HomologySummary(0, ())
             continue
-        d_out = cx.boundary_matrix(k)
-        d_in = cx.boundary_matrix(k + 1)
+        d_out = boundary_matrix(cx, k)
+        d_in = boundary_matrix(cx, k + 1)
         if cx.ring == RING_Q:
             rank_out = dense_rank_q(d_out.rows) if d_out.nrows else 0
             rank_in = dense_rank_q(d_in.rows) if d_in.ncols and d_in.nrows else 0
@@ -249,3 +256,73 @@ def reference_homology(cx: ChainComplex, lo: int, hi: int) -> Dict[int, Homology
         torsion = tuple(f for f in psnf.factors if f.degree > 0)
         out[k] = HomologySummary(kernel_dim - len(psnf.factors), torsion)
     return out
+
+
+# matrix operations used only by the tests ----------------------------------
+
+
+def det(m: ExactMatrix):
+    """Determinant by division-free cofactor expansion (square matrices)."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.nrows
+
+    @lru_cache(maxsize=None)
+    def minor(row: int, cols: tuple):
+        if row == n:
+            return one(m.ring)
+        acc = zero(m.ring)
+        for pos, j in enumerate(cols):
+            entry = m.rows[row][j]
+            if not entry:
+                continue
+            term = entry * minor(row + 1, cols[:pos] + cols[pos + 1:])
+            acc = acc + term if pos % 2 == 0 else acc - term
+        return acc
+
+    return minor(0, tuple(range(n)))
+
+
+def _rank_qu(rows) -> int:
+    # Fraction-free elimination: cross-multiply rows; content is never
+    # divided out, so entries grow with every elimination step.
+    m = [list(r) for r in rows]
+    nr, nc = len(m), len(m[0]) if m else 0
+    rank = 0
+    row = 0
+    for col in range(nc):
+        pivot = next((r for r in range(row, nr) if not m[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        p = m[row][col]
+        for r in range(row + 1, nr):
+            if m[r][col].is_zero():
+                continue
+            f = m[r][col]
+            m[r] = [p * a - f * b for a, b in zip(m[r], m[row])]
+        rank += 1
+        row += 1
+        if row == nr:
+            break
+    return rank
+
+
+def rank(m: ExactMatrix) -> int:
+    """Rank over the fraction field (Q, or Q(U) via fraction-free elimination)."""
+    return _rank_q(m.rows) if m.ring == RING_Q else _rank_qu(m.rows)
+
+
+def evaluate(m: ExactMatrix, s) -> ExactMatrix:
+    """Substitute U := s, landing in a Q matrix."""
+    if m.ring == RING_Q:
+        return m
+    return ExactMatrix(RING_Q, [[e.evaluate(s) for e in row] for row in m.rows])
+
+
+def boundary_matrix(cx: ChainComplex, k: int) -> ExactMatrix:
+    """The stored boundary d_k, or the zero matrix of its shape."""
+    if k in cx.boundary:
+        return cx.boundary[k]
+    z = zero(cx.ring)
+    return ExactMatrix(cx.ring, [[z] * cx.dim(k) for _ in range(cx.dim(k - 1))])

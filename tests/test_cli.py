@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from sftkit.cli import MACHINE_HEADER, main
 
 DATA = Path(__file__).parent / "data"
@@ -156,6 +158,48 @@ def test_dga_deep_homology_window_is_refused_quickly():
                           timeout=5)
     assert proc.returncode == 2
     assert "TooLarge" in proc.stderr and "length 1101" in proc.stderr
+
+
+def test_dga_oversized_homology_window_is_refused_quickly():
+    # Word counts grow like the Fibonacci numbers: degree 17 has 2584 words.
+    proc = run_subprocess("dga", str(DATA / "exact_pair.json"), "--homology", "0..40",
+                          timeout=5)
+    assert proc.returncode == 2
+    assert "TooLarge" in proc.stderr and "degree 17 has 2584 words" in proc.stderr
+
+
+def test_dga_largest_homology_window_under_the_limit(capsys):
+    # 0..15 enumerates degrees up to 16 (1597 words); the algebra is acyclic
+    # but for the unit.
+    code, out, _ = run_cli(capsys, "--format", "machine", "dga", str(DATA / "exact_pair.json"),
+                           "--homology", "0..15")
+    assert code == 0
+    ranks = machine_payload(out)["ranks"]
+    assert {int(k): r["free"] for k, r in ranks.items()} == {k: int(k == 0) for k in range(16)}
+
+
+# d(a) = b + c with |a| = 2, |b| = 1, |c| = 3: the c term is not of degree 1.
+OFF_DEGREE = {
+    "ring": "Q", "mode": "associative",
+    "generators": [{"name": "a", "deg": 2}, {"name": "b", "deg": 1}, {"name": "c", "deg": 3}],
+    "differential": {"a": [{"coeff": "1", "word": ["b"]}, {"coeff": "1", "word": ["c"]}]},
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dga", "--homology", "0..3"], "d(a) has the term c outside the next degree down"),
+    (["cyclic", "--window", "0..3"], "d([a]) has the term c outside the next degree down"),
+    (["dga", "--linearize", "zero", "--homology", "0..3"],
+     "d(a) has the term c outside the next degree down"),
+    (["dga", "--bidegree"], "d(a) has a term of degree 3, wanted 1"),
+], ids=["dga-homology", "cyclic", "linearize", "bidegree"])
+def test_term_outside_the_next_degree_down_is_refused(tmp_path, capsys, argv, message):
+    path = tmp_path / "off_degree.json"
+    path.write_text(json.dumps(OFF_DEGREE))
+    code, out, err = run_cli(capsys, "--format", "machine", argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert err == f"error: BidegreeViolation: {message}\n"
+    assert "ranks" not in out
 
 
 def test_cyclic_exact_pair_worst_case_window():

@@ -9,14 +9,14 @@ canonical representatives.
 import json
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import helpers
-from helpers import seeded_rng
+from helpers import rank, seeded_rng
 from sftkit.cyclic import (
-    CYCLIC_CLASS_LIMIT,
     CyclicWord,
     cyclic_basis,
     cyclic_differential,
@@ -24,12 +24,15 @@ from sftkit.cyclic import (
     reduced_cyclic_homology,
     rotation_class,
 )
+import sftkit.dga
 from sftkit.dga import (
+    BASIS_LIMIT,
     DGA,
     AlgebraElement,
     Generator,
     dga_from_doc,
     word_basis,
+    word_complex,
 )
 from sftkit.errors import InfiniteBasis, TooLarge
 from sftkit.ring import RING_Q, ExactMatrix
@@ -187,14 +190,14 @@ def oracle_ranks(dga: DGA, lo: int, hi: int):
         if rel is None and mat is None:
             return 0, 0
         if mat is None:
-            return (rel.rank() if rel else 0), 0
+            return (rank(rel) if rel else 0), 0
         if rel is None:
-            return 0, mat.rank()
+            return 0, rank(mat)
         combined = ExactMatrix(
             RING_Q, [list(a) + list(b) for a, b in zip(rel.rows, mat.rows)]
         )
-        rel_rank = rel.rank()
-        return rel_rank, combined.rank() - rel_rank
+        rel_rank = rank(rel)
+        return rel_rank, rank(combined) - rel_rank
 
     bases = {k: words(k) for k in range(max(lo - 1, 0), hi + 2)}
     ranks = {}
@@ -204,7 +207,7 @@ def oracle_ranks(dga: DGA, lo: int, hi: int):
             ranks[k] = 0
             continue
         rel_k = tau_matrix(basis_k)
-        dim_coinv = len(basis_k) - (rel_k.rank() if rel_k else 0)
+        dim_coinv = len(basis_k) - (rank(rel_k) if rel_k else 0)
         # rank of the induced map out of degree k
         rel_below = tau_matrix(bases.get(k - 1, []))
         d_out = diff_matrix(basis_k, bases.get(k - 1, []))
@@ -310,12 +313,27 @@ def test_necklace_basis_matches_reference(d):
             assert project_word(d, word, Fraction(3)) == helpers.project_word(d, word, Fraction(3))
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(random_algebras(), st.integers(1, 9))
+def test_word_complex_refuses_exactly_above_the_word_count(d, k):
+    # The counted word basis is refused at one word above the limit and
+    # accepted at the limit, so the count equals the enumerated basis.
+    assume(word_count(d, k) <= 5000)
+    n = len(word_basis(d, k))
+    with mock.patch.object(sftkit.dga, "BASIS_LIMIT", n):
+        word_complex(d, k, k)
+    if n:
+        with mock.patch.object(sftkit.dga, "BASIS_LIMIT", n - 1):
+            with pytest.raises(TooLarge, match=f"degree {k} has {n} words"):
+                word_complex(d, k, k)
+
+
 def test_oversized_degree_is_refused():
     # The exact pair has 2787 necklaces in degree 23, the first degree above
     # the limit; degree 20, the top of the window 0..19, still fits.
     with pytest.raises(TooLarge, match="degree 23 predicted up to 2787"):
         cyclic_basis(exact_pair(), 0, 40)
-    assert len(cyclic_basis(exact_pair(), 20, 20)[20]) == 763 <= CYCLIC_CLASS_LIMIT
+    assert len(cyclic_basis(exact_pair(), 20, 20)[20]) == 763 <= BASIS_LIMIT
     # Commutative classes are counted as monomials, not as necklaces.
     orbit = load("orbit_qu.json").evaluate_U(1)
     assert len(cyclic_basis(orbit, 40, 40)[40]) == 21

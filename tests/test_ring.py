@@ -12,17 +12,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_rank_q, seeded_rng
+from helpers import dense_rank_q, det, evaluate, rank, seeded_rng
+from sftkit.dga import AlgebraElement
 from sftkit.ring import (
     RING_Q,
     RING_QU,
     ExactMatrix,
     UPoly,
     _rank_q,
+    coerce,
+    one,
     parse_upoly,
-    poly_arith,
     poly_gcd,
     smith_normal_form,
+    zero,
 )
 
 U = UPoly.monomial(1)
@@ -34,7 +37,7 @@ def minor_gcd_oracle(m: ExactMatrix, k: int) -> UPoly:
     for rows in itertools.combinations(range(m.nrows), k):
         for cols in itertools.combinations(range(m.ncols), k):
             sub = ExactMatrix(m.ring, [[m[i, j] for j in cols] for i in rows])
-            acc = poly_gcd(acc, sub.det())
+            acc = poly_gcd(acc, det(sub))
     return acc
 
 
@@ -47,10 +50,10 @@ def random_qu_matrix(rng, nrows, ncols, max_deg=2) -> ExactMatrix:
 
 
 def test_poly_examples():
-    assert poly_arith(U + 1, U - 1, "mul") == U ** 2 - 1
+    assert (U + 1) * (U - 1) == U ** 2 - 1
     p = 3 * U ** 2 + Fraction(1, 2)
-    assert poly_arith(UPoly(), p, "add") == p
-    assert poly_arith(2 * U, UPoly.const(Fraction(1, 2)), "mul") == U
+    assert UPoly() + p == p
+    assert (2 * U) * UPoly.const(Fraction(1, 2)) == U
 
 
 def test_poly_parsing_roundtrip():
@@ -84,7 +87,7 @@ def test_smith_shear_block():
     res = smith_normal_form(m)
     assert list(res.factors) == [UPoly.const(1), U ** 2]
     assert res.verify(m)
-    assert m.det().monic() == (res.factors[0] * res.factors[1]).monic()
+    assert det(m).monic() == (res.factors[0] * res.factors[1]).monic()
 
 
 def test_smith_transforms_are_certified():
@@ -134,7 +137,7 @@ def test_smith_edge_shapes():
             m = random_qu_matrix(rng, nrows, ncols)
             res = smith_normal_form(m)
             assert res.verify(m)
-            assert len(res.factors) == m.rank()
+            assert len(res.factors) == rank(m)
             for k, f in enumerate(res.factors, start=1):
                 prod = UPoly.const(1)
                 for g in res.factors[:k]:
@@ -173,8 +176,40 @@ def test_upoly_pickle_roundtrip(p):
 
 def test_rank_and_evaluate():
     m = ExactMatrix(RING_QU, [[U, 1], [U ** 2, U]])
-    assert m.rank() == 1
-    assert m.evaluate(Fraction(2)) == ExactMatrix(RING_Q, [[2, 1], [4, 2]])
+    assert rank(m) == 1
+    assert evaluate(m, Fraction(2)) == ExactMatrix(RING_Q, [[2, 1], [4, 2]])
+
+
+@pytest.mark.parametrize("ring, x, want", [
+    (RING_Q, 3, Fraction(3)),
+    (RING_Q, "-3/4", Fraction(-3, 4)),
+    (RING_Q, Fraction(1, 2), Fraction(1, 2)),
+    (RING_Q, UPoly.const(5), Fraction(5)),
+    (RING_Q, U + 1, ValueError),
+    (RING_Q, 0.5, TypeError),
+    (RING_QU, 3, UPoly.const(3)),
+    (RING_QU, "-3/4", UPoly.const(Fraction(-3, 4))),
+    (RING_QU, Fraction(1, 2), UPoly.const(Fraction(1, 2))),
+    (RING_QU, UPoly.const(5), UPoly.const(5)),
+    (RING_QU, U + 1, U + 1),
+    (RING_QU, 0.5, TypeError),
+    ("Z", 1, ValueError),
+])
+def test_coerce_one_rule_per_ring(ring, x, want):
+    if isinstance(want, type):
+        with pytest.raises(want):
+            coerce(ring, x)
+    else:
+        got = coerce(ring, x)
+        assert got == want and type(got) is type(want)
+
+
+def test_coercion_is_shared_by_matrices_and_algebra_elements():
+    # rational strings are Q[U] coefficients in matrices as in algebra elements
+    assert ExactMatrix(RING_QU, [["1/2"]]).rows == ((UPoly.const(Fraction(1, 2)),),)
+    assert zero(RING_QU) == UPoly() and one(RING_Q) == 1
+    with pytest.raises(ValueError, match="unknown ring tag 'Z'"):
+        AlgebraElement("Z", {("a",): 1})
 
 
 def test_matrix_validation():
