@@ -22,8 +22,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 
 from .errors import (BidegreeViolation, DSquareNonzero, InfiniteBasis, NonComposable,
                      NotAChainMap, TooLarge)
-from .ring import (RING_Q, RING_QU, ExactMatrix, UPoly, _rank_q, coerce, one, rat,
-                   smith_normal_form, zero)
+from .ring import (RING_Q, RING_QU, ExactMatrix, UPoly, _invariant_factors, _rank_q, coerce,
+                   one, rat, zero)
 
 Coeff = Union[Fraction, UPoly]
 Word = Tuple[str, ...]
@@ -745,8 +745,8 @@ def homology(cx: ChainComplex, lo: int, hi: int) -> Dict[int, HomologySummary]:
     """Per-degree homology of a complex of free modules.
 
     Each boundary d_k is factored once: over Q for its rank, over Q[U] by one
-    Smith form for its rank and its non-unit invariant factors.  Over a PID
-    ker d_k is a summand of C_k, so H_k is free of rank
+    transform-free Smith elimination for its rank and its non-unit invariant
+    factors.  Over a PID ker d_k is a summand of C_k, so H_k is free of rank
     dim C_k - rk d_k - rk d_{k+1} plus the torsion given by the non-unit
     invariant factors of d_{k+1}.  Raises DSquareNonzero when two stored
     boundaries of the window do not compose to zero.
@@ -762,7 +762,7 @@ def homology(cx: ChainComplex, lo: int, hi: int) -> Dict[int, HomologySummary]:
             elif cx.ring == RING_Q:
                 factored[k] = (_rank_q(m.rows), ())
             else:
-                factors = smith_normal_form(m).factors
+                factors = _invariant_factors(m)
                 factored[k] = (len(factors), tuple(f for f in factors if f.degree > 0))
         return factored[k]
 

@@ -2,11 +2,11 @@
 
 Everything here is exact.  Rationals are ``fractions.Fraction`` (arbitrary
 precision), polynomials store a tuple of rational coefficients indexed by the
-exponent of U, and matrices carry a ring tag ("Q" or "QU") so that the normal
-form routines know which division rule applies.  ``coerce`` is the one rule
-for what a coefficient of each ring is; matrices and algebra elements both
-use it.  No value is mutated after construction; all operations return new
-values.
+exponent of U, and matrices carry a ring tag ("Q" or "QU").  ``coerce`` is
+the one rule for what a coefficient of each ring is; matrices and algebra
+elements both use it.  No value is mutated after construction; all
+operations return new values.  The rank and Smith kernels clear denominators
+and eliminate fraction-free over Z (rank) and Z[U] (Smith form, both rings).
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ class UPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant hashes like the int or Fraction it equals
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(("UPoly", self.coeffs))
 
     def __add__(self, other):
@@ -213,14 +216,6 @@ def _at(p: UPoly, i: int) -> Fraction:
     return p.coeffs[i] if i < len(p.coeffs) else Fraction(0)
 
 
-def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
-    """Monic gcd in Q[U] by the Euclidean algorithm."""
-    a, b = _as_poly(a), _as_poly(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
 def parse_upoly(text: str) -> UPoly:
     """Parse strings like '2*U^2 - U + 1/2' (also bare rationals)."""
     s = text.replace(" ", "")
@@ -275,25 +270,6 @@ def zero(ring: str):
 
 def one(ring: str):
     return coerce(ring, 1)
-
-
-def _euclid(ring: str):
-    """The Euclidean rule of ``ring`` as functions (size, divmod, unit).
-
-    Over Q every nonzero entry is a unit of size 0 and divides exactly.  Over
-    Q[U] the size is the degree, division is long division, and the unit
-    part of an entry is its leading coefficient, kept as a constant UPoly so
-    that scaling by it stays polynomial arithmetic.  ``unit(x)`` returns the
-    unit part of a nonzero x and its inverse.
-    """
-    if ring == RING_Q:
-        return (lambda x: 0), (lambda a, b: (a / b, Fraction(0))), (lambda x: (x, 1 / x))
-
-    def unit(p: UPoly):
-        lead = p.coeffs[-1]
-        return UPoly.const(lead), UPoly.const(1 / lead)
-
-    return (lambda p: p.degree), UPoly.divmod, unit
 
 
 @dataclass(frozen=True)
@@ -416,6 +392,207 @@ def _rank_q(rows) -> int:
     return len(pivots)
 
 
+# The Smith kernel works on integer polynomials: a list of ints, lowest degree
+# first, with no trailing zeros (the zero polynomial is []).  A line of a
+# matrix (a row, or a column) is a dict {index: poly} of its nonzero entries.
+
+
+def _padd(p, a: int, q, b: int, sh: int) -> list:
+    """a*p + b*U^sh*q."""
+    out = [a * c for c in p]
+    if len(out) < len(q) + sh:
+        out.extend([0] * (len(q) + sh - len(out)))
+    for k, c in enumerate(q, sh):
+        out[k] += b * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _combine(x: dict, a: int, y: dict, b: int, sh: int) -> dict:
+    """The line a*x + b*U^sh*y."""
+    out = {}
+    for j, p in x.items():
+        q = y.get(j)
+        r = _padd(p, a, q, b, sh) if q else [a * c for c in p]
+        if r:
+            out[j] = r
+    for j, q in y.items():
+        if j not in x:
+            out[j] = [0] * sh + [b * c for c in q]
+    return out
+
+
+def _content(line: dict) -> int:
+    return gcd(*(c for p in line.values() for c in p))
+
+
+def _divided(line: dict, g: int) -> dict:
+    return line if g == 1 else {j: [c // g for c in p] for j, p in line.items()}
+
+
+def _reduced(line: dict, den: int) -> tuple:
+    """The rational line line/den in lowest terms, as (line, den)."""
+    g = gcd(_content(line), den)
+    return _divided(line, g), den // g
+
+
+def _divides(p: list, x: list) -> bool:
+    """Whether p divides x over Q[U], by pseudo-division on primitive parts."""
+    if len(p) == 1:
+        return True
+    while len(x) >= len(p):
+        g = gcd(p[-1], x[-1])
+        x = _padd(x, p[-1] // g, p, -(x[-1] // g), len(x) - len(p))
+        h = gcd(*x)
+        if h > 1:
+            x = [c // h for c in x]
+    return not x
+
+
+class _Transform:
+    """A unimodular transform built up one line operation at a time.
+
+    ``fwd[i]`` is line i of the transform with integer entries (a row of L,
+    a column of R) and ``inv[i]`` the matching line of its inverse (a column
+    of L^-1, a row of R^-1) as (line, positive denominator).  Starts as the
+    identity of size n.
+    """
+
+    def __init__(self, n: int):
+        self.fwd = [{i: [1]} for i in range(n)]
+        self.inv = [({i: [1]}, 1) for i in range(n)]
+
+    def apply(self, dst: int, src: int, a: int, b: int, sh: int, g: int) -> int:
+        """fwd[dst] := (a*fwd[dst] + b*U^sh*fwd[src]) / h and the inverse
+        update, for h the gcd of g and the new line's content; returns h."""
+        line = _combine(self.fwd[dst], a, self.fwd[src], b, sh)
+        h = gcd(g, _content(line))
+        self.fwd[dst] = _divided(line, h)
+        # E has row dst = (a*e_dst + b*U^sh*e_src)/h, so E^-1 has row
+        # dst = (h*e_dst - b*U^sh*e_src)/a: inverse line dst scales by h/a
+        # and inverse line src loses (b*U^sh/a) times the old line dst.
+        (nd, dd), (ns, ds) = self.inv[dst], self.inv[src]
+        den = lcm(ds, abs(a) * dd)
+        self.inv[src] = _reduced(_combine(ns, den // ds, nd, -b * (den // (a * dd)), sh), den)
+        f = h if a > 0 else -h
+        self.inv[dst] = _reduced({j: [c * f for c in p] for j, p in nd.items()}, dd * abs(a))
+        return h
+
+
+def _smith(m: ExactMatrix, transforms: bool):
+    """Fraction-free Smith elimination of ``m`` over Z[U], for both rings.
+
+    Each row is cleared of denominators (a unit scaling over Q or Q[U]).
+    A pivot of least degree, on the shortest row, is chosen among the
+    unfinished rows; every other entry of its column and row is reduced by
+    pseudo-division steps line_i := (a*line_i - b*U^sh*line_s)/g, where a, b
+    are the cofactors of the two leading coefficients and g is the content
+    of the new line of A together with its line of the transform (so a/g
+    is a unit of Q[U]).  A remainder that survives becomes the pivot, as in
+    the Euclidean algorithm, and a pivot that does not divide the rest of
+    the block takes the offending row added to its own.  Over Q every
+    entry is a constant and one step clears it.  Without transforms, a
+    pivot whose column is clear drops the entries of its row it divides.
+
+    Returns the reduced rows, the pivots (row, col) in divisibility order,
+    and the left and right transforms (None unless ``transforms``).
+    """
+    a, left = [], _Transform(m.nrows) if transforms else None
+    for i, row in enumerate(m.rows):
+        polys = [(j, (x,) if m.ring == RING_Q else x.coeffs) for j, x in enumerate(row) if x]
+        scale = lcm(*(c.denominator for _, p in polys for c in p))
+        line = {j: [c.numerator * (scale // c.denominator) for c in p] for j, p in polys}
+        if transforms:
+            left.fwd[i] = {i: [scale]}
+            left.inv[i] = ({i: [1]}, scale)
+        else:
+            line = _divided(line, _content(line) or 1)
+        a.append(line)
+    right = _Transform(m.ncols) if transforms else None
+
+    def row_op(dst, src, x, y, sh):
+        line = _combine(a[dst], x, a[src], y, sh)
+        g = _content(line)
+        g = left.apply(dst, src, x, y, sh, g) if transforms else g or 1
+        a[dst] = _divided(line, g)
+
+    def col_op(dst, src, x, y, sh):
+        new = {i: _padd(a[i].get(dst, ()), x, a[i].get(src, ()), y, sh)
+               for i in live if dst in a[i] or src in a[i]}
+        g = gcd(*(c for p in new.values() for c in p))
+        g = right.apply(dst, src, x, y, sh, g) if transforms else g or 1
+        for i, p in new.items():
+            if p:
+                a[i][dst] = [c // g for c in p] if g > 1 else p
+            else:
+                del a[i][dst]
+
+    def reduce(op, dst, src, p, q):
+        # one pseudo-division step of entry p (line dst) by pivot q (line src)
+        g = gcd(p[-1], q[-1])
+        x, y = q[-1] // g, -(p[-1] // g)
+        if x < 0:
+            x, y = -x, -y
+        op(dst, src, x, y, len(p) - len(q))
+
+    live = list(range(m.nrows))  # rows without a finished pivot
+    pivots = []
+    while True:
+        best = None
+        for i in live:
+            for j, p in a[i].items():
+                key = (len(p), len(a[i]))
+                if best is None or key < best[0]:
+                    best = key, i, j
+        if best is None:
+            break
+        _, r, c = best
+        while True:
+            dirty = False
+            for i in live:
+                while i != r and c in a[i] and len(a[i][c]) >= len(a[r][c]):
+                    reduce(row_op, i, r, a[i][c], a[r][c])
+                if i != r and c in a[i]:
+                    r, dirty = i, True
+            if dirty:
+                continue
+            # column c is now zero off the pivot, so a column operation that
+            # subtracts a multiple of it changes row r alone: without
+            # transforms, entries of row r that the pivot divides just go
+            p = a[r][c]
+            if not transforms and all(_divides(p, x) for x in a[r].values()):
+                a[r] = {c: p}
+            for j in list(a[r]):
+                while j != c and j in a[r] and len(a[r][j]) >= len(a[r][c]):
+                    reduce(col_op, j, c, a[r][j], a[r][c])
+                if j != c and j in a[r]:
+                    c, dirty = j, True
+            if dirty:
+                continue
+            # the pivot must divide the rest of the block; otherwise add an
+            # offending row to its row, whose next pass lowers its degree
+            bad = next((i for i in live if i != r and len(p) > 1
+                        and not all(_divides(p, x) for x in a[i].values())), None)
+            if bad is None:
+                break
+            row_op(r, bad, 1, 1, 0)
+        live.remove(r)
+        pivots.append((r, c))
+    return a, pivots, left, right
+
+
+def _monic(ring: str, p: list):
+    return Fraction(1) if ring == RING_Q else UPoly([Fraction(c, p[-1]) for c in p])
+
+
+def _invariant_factors(m: ExactMatrix) -> tuple:
+    """The nonzero invariant factors d_1 | d_2 | ... of ``m``, unit
+    normalized as in ``smith_normal_form``, computed without transforms."""
+    a, pivots, _, _ = _smith(m, transforms=False)
+    return tuple(_monic(m.ring, a[r][c]) for r, c in pivots)
+
+
 def smith_normal_form(m: ExactMatrix) -> SmithResult:
     """Smith normal form over Q or Q[U] with exact transform certificates.
 
@@ -424,120 +601,33 @@ def smith_normal_form(m: ExactMatrix) -> SmithResult:
     d_1 | d_2 | ... ; the chain is unit-normalized.
     """
     ring = m.ring
-    a = [list(r) for r in m.rows]
+    a, pivots, left, right = _smith(m, transforms=True)
+    # the pivots' rows and columns come first, in pivot order; the pivot rows
+    # of L are divided by the pivot's leading coefficient to make D monic
+    rows = [r for r, _ in pivots] + sorted(set(range(m.nrows)) - {r for r, _ in pivots})
+    cols = [c for _, c in pivots] + sorted(set(range(m.ncols)) - {c for _, c in pivots})
+    lead = {r: a[r][c][-1] for r, c in pivots}
+
+    def entries(line, n, num=1, den=1):
+        if ring == RING_Q:
+            return [Fraction(line[j][0] * num, den) if j in line else Fraction(0) for j in range(n)]
+        return [UPoly([Fraction(c * num, den) for c in line.get(j, ())]) for j in range(n)]
+
+    def transpose(lines):
+        return [list(t) for t in zip(*lines)]
+
+    factors = tuple(_monic(ring, a[r][c]) for r, c in pivots)
+    diag = [[zero(ring)] * m.ncols for _ in range(m.nrows)]
+    for s, f in enumerate(factors):
+        diag[s][s] = f
     nr, nc = m.nrows, m.ncols
-    left = [list(r) for r in ExactMatrix.identity(ring, nr).rows]
-    linv = [list(r) for r in ExactMatrix.identity(ring, nr).rows]
-    right = [list(r) for r in ExactMatrix.identity(ring, nc).rows]
-    rinv = [list(r) for r in ExactMatrix.identity(ring, nc).rows]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-        linv_col_swap(i, j)
-
-    def linv_col_swap(i, j):
-        for r in range(nr):
-            linv[r][i], linv[r][j] = linv[r][j], linv[r][i]
-
-    def swap_cols(i, j):
-        for r in range(nr):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(nc):
-            right[r][i], right[r][j] = right[r][j], right[r][i]
-        rinv[i], rinv[j] = rinv[j], rinv[i]
-
-    def add_row(dst, src, f):
-        # row_dst += f * row_src ; inverse op on linv columns.
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + f * y for x, y in zip(left[dst], left[src])]
-        for r in range(nr):
-            linv[r][src] = linv[r][src] - f * linv[r][dst]
-
-    def add_col(dst, src, f):
-        for r in range(nr):
-            a[r][dst] = a[r][dst] + f * a[r][src]
-        for r in range(nc):
-            right[r][dst] = right[r][dst] + f * right[r][src]
-        rinv[src] = [x - f * y for x, y in zip(rinv[src], rinv[dst])]
-
-    def scale_row(i, u, inv):
-        # row_i *= inv for a unit u = 1/inv.
-        a[i] = [x * inv for x in a[i]]
-        left[i] = [x * inv for x in left[i]]
-        for r in range(nr):
-            linv[r][i] = linv[r][i] * u
-
-    size, divmod_, unit = _euclid(ring)
-    s = 0
-    limit = min(nr, nc)
-    while s < limit:
-        # Find a pivot of minimal Euclidean size in the trailing block.
-        pivot = None
-        best = None
-        for i in range(s, nr):
-            for j in range(s, nc):
-                if a[i][j]:
-                    sz = size(a[i][j])
-                    if best is None or sz < best:
-                        best, pivot = sz, (i, j)
-        if pivot is None:
-            break
-        swap_rows(s, pivot[0])
-        swap_cols(s, pivot[1])
-
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(s + 1, nr):
-                if not a[i][s]:
-                    continue
-                q, r = divmod_(a[i][s], a[s][s])
-                add_row(i, s, -q)
-                if a[i][s]:
-                    swap_rows(s, i)
-                    dirty = True
-            for j in range(s + 1, nc):
-                if not a[s][j]:
-                    continue
-                q, r = divmod_(a[s][j], a[s][s])
-                add_col(j, s, -q)
-                if a[s][j]:
-                    swap_cols(s, j)
-                    dirty = True
-        # Enforce divisibility into the trailing block.
-        fixed = False
-        for i in range(s + 1, nr):
-            for j in range(s + 1, nc):
-                if not a[i][j]:
-                    continue
-                _, r = divmod_(a[i][j], a[s][s])
-                if r:
-                    add_row(s, i, one(ring))
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        s += 1
-
-    # Unit-normalize the diagonal.
-    factors = []
-    for i in range(limit):
-        if not a[i][i]:
-            continue
-        u, inv = unit(a[i][i])
-        if u != 1:
-            scale_row(i, u, inv)
-        factors.append(a[i][i])
-
-    diag = ExactMatrix(ring, a)
     return SmithResult(
-        factors=tuple(factors),
-        diagonal=diag,
-        left=ExactMatrix(ring, left),
-        right=ExactMatrix(ring, right),
-        left_inverse=ExactMatrix(ring, linv),
-        right_inverse=ExactMatrix(ring, rinv),
+        factors=factors,
+        diagonal=ExactMatrix(ring, diag),
+        left=ExactMatrix(ring, [entries(left.fwd[i], nr, 1, lead.get(i, 1)) for i in rows]),
+        right=ExactMatrix(ring, transpose(entries(right.fwd[j], nc) for j in cols)),
+        left_inverse=ExactMatrix(ring, transpose(entries(left.inv[i][0], nr, lead.get(i, 1),
+                                                         left.inv[i][1]) for i in rows)),
+        right_inverse=ExactMatrix(ring, [entries(right.inv[j][0], nc, 1, right.inv[j][1])
+                                         for j in cols]),
     )

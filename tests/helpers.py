@@ -11,6 +11,11 @@ unchanged, as the oracle for the necklace generator in ``sftkit.cyclic``.
 second Smith form of the presentation of the incoming image) are the original
 homology path, the oracles for ``ring._rank_q`` and ``dga.homology``.
 
+``reference_smith_normal_form`` (with ``_euclid``) is the original Smith
+form, a Euclidean loop over Fractions and ``UPoly`` that updates all four
+transforms at every step: the oracle for ``ring.smith_normal_form`` and its
+fraction-free kernel.  ``poly_gcd`` is the monic Euclidean gcd in Q[U].
+
 ``det`` (division-free cofactor expansion), ``rank`` (with ``_rank_qu``,
 fraction-free elimination over Q(U)), ``evaluate`` (U := s) and
 ``boundary_matrix`` (a stored boundary or the zero matrix) are matrix
@@ -24,6 +29,7 @@ the submanifold) when all its ends lie there, s >= 0 otherwise).
 
 import os
 import random
+from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from sftkit.cyclic import CyclicWord
@@ -31,7 +37,8 @@ from functools import lru_cache
 
 from sftkit.dga import DGA, ChainComplex, Coeff, HomologySummary, Word, word_basis
 from sftkit.errors import InfiniteBasis, NonComposable
-from sftkit.ring import RING_Q, ExactMatrix, _rank_q, one, smith_normal_form, zero
+from sftkit.ring import (RING_Q, ExactMatrix, SmithResult, UPoly, _as_poly, _rank_q, one,
+                         smith_normal_form, zero)
 from sftkit.trees import DecoratedForest, Edge, OrbitLabel, Vertex
 
 
@@ -326,3 +333,160 @@ def boundary_matrix(cx: ChainComplex, k: int) -> ExactMatrix:
         return cx.boundary[k]
     z = zero(cx.ring)
     return ExactMatrix(cx.ring, [[z] * cx.dim(k) for _ in range(cx.dim(k - 1))])
+
+
+# reference Smith form ----------------------------------------------------------
+
+
+def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
+    """Monic gcd in Q[U] by the Euclidean algorithm."""
+    a, b = _as_poly(a), _as_poly(b)
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic() if not a.is_zero() else a
+
+
+def _euclid(ring: str):
+    """The Euclidean rule of ``ring`` as functions (size, divmod, unit).
+
+    Over Q every nonzero entry is a unit of size 0 and divides exactly.  Over
+    Q[U] the size is the degree, division is long division, and the unit
+    part of an entry is its leading coefficient, kept as a constant UPoly so
+    that scaling by it stays polynomial arithmetic.  ``unit(x)`` returns the
+    unit part of a nonzero x and its inverse.
+    """
+    if ring == RING_Q:
+        return (lambda x: 0), (lambda a, b: (a / b, Fraction(0))), (lambda x: (x, 1 / x))
+
+    def unit(p: UPoly):
+        lead = p.coeffs[-1]
+        return UPoly.const(lead), UPoly.const(1 / lead)
+
+    return (lambda p: p.degree), UPoly.divmod, unit
+
+
+def reference_smith_normal_form(m: ExactMatrix) -> SmithResult:
+    """Smith normal form over Q or Q[U] with exact transform certificates.
+
+    Returns unimodular ``left``/``right`` (with tracked inverses) such that
+    ``left @ m @ right`` is diagonal with the divisibility chain
+    d_1 | d_2 | ... ; the chain is unit-normalized.
+    """
+    ring = m.ring
+    a = [list(r) for r in m.rows]
+    nr, nc = m.nrows, m.ncols
+    left = [list(r) for r in ExactMatrix.identity(ring, nr).rows]
+    linv = [list(r) for r in ExactMatrix.identity(ring, nr).rows]
+    right = [list(r) for r in ExactMatrix.identity(ring, nc).rows]
+    rinv = [list(r) for r in ExactMatrix.identity(ring, nc).rows]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+        linv_col_swap(i, j)
+
+    def linv_col_swap(i, j):
+        for r in range(nr):
+            linv[r][i], linv[r][j] = linv[r][j], linv[r][i]
+
+    def swap_cols(i, j):
+        for r in range(nr):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(nc):
+            right[r][i], right[r][j] = right[r][j], right[r][i]
+        rinv[i], rinv[j] = rinv[j], rinv[i]
+
+    def add_row(dst, src, f):
+        # row_dst += f * row_src ; inverse op on linv columns.
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        left[dst] = [x + f * y for x, y in zip(left[dst], left[src])]
+        for r in range(nr):
+            linv[r][src] = linv[r][src] - f * linv[r][dst]
+
+    def add_col(dst, src, f):
+        for r in range(nr):
+            a[r][dst] = a[r][dst] + f * a[r][src]
+        for r in range(nc):
+            right[r][dst] = right[r][dst] + f * right[r][src]
+        rinv[src] = [x - f * y for x, y in zip(rinv[src], rinv[dst])]
+
+    def scale_row(i, u, inv):
+        # row_i *= inv for a unit u = 1/inv.
+        a[i] = [x * inv for x in a[i]]
+        left[i] = [x * inv for x in left[i]]
+        for r in range(nr):
+            linv[r][i] = linv[r][i] * u
+
+    size, divmod_, unit = _euclid(ring)
+    s = 0
+    limit = min(nr, nc)
+    while s < limit:
+        # Find a pivot of minimal Euclidean size in the trailing block.
+        pivot = None
+        best = None
+        for i in range(s, nr):
+            for j in range(s, nc):
+                if a[i][j]:
+                    sz = size(a[i][j])
+                    if best is None or sz < best:
+                        best, pivot = sz, (i, j)
+        if pivot is None:
+            break
+        swap_rows(s, pivot[0])
+        swap_cols(s, pivot[1])
+
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(s + 1, nr):
+                if not a[i][s]:
+                    continue
+                q, r = divmod_(a[i][s], a[s][s])
+                add_row(i, s, -q)
+                if a[i][s]:
+                    swap_rows(s, i)
+                    dirty = True
+            for j in range(s + 1, nc):
+                if not a[s][j]:
+                    continue
+                q, r = divmod_(a[s][j], a[s][s])
+                add_col(j, s, -q)
+                if a[s][j]:
+                    swap_cols(s, j)
+                    dirty = True
+        # Enforce divisibility into the trailing block.
+        fixed = False
+        for i in range(s + 1, nr):
+            for j in range(s + 1, nc):
+                if not a[i][j]:
+                    continue
+                _, r = divmod_(a[i][j], a[s][s])
+                if r:
+                    add_row(s, i, one(ring))
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        s += 1
+
+    # Unit-normalize the diagonal.
+    factors = []
+    for i in range(limit):
+        if not a[i][i]:
+            continue
+        u, inv = unit(a[i][i])
+        if u != 1:
+            scale_row(i, u, inv)
+        factors.append(a[i][i])
+
+    diag = ExactMatrix(ring, a)
+    return SmithResult(
+        factors=tuple(factors),
+        diagonal=diag,
+        left=ExactMatrix(ring, left),
+        right=ExactMatrix(ring, right),
+        left_inverse=ExactMatrix(ring, linv),
+        right_inverse=ExactMatrix(ring, rinv),
+    )

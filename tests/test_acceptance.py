@@ -10,14 +10,14 @@ import math
 import time
 from fractions import Fraction
 
-from helpers import det, random_forest, seeded_rng
+from helpers import det, poly_gcd, random_forest, seeded_rng
 from sftkit.czindex import PathSpec, cz_crossing, cz_gamma_orbit, cz_rotation, rs_shear
 from sftkit.cyclic import reduced_cyclic_homology
 from sftkit.dga import DGA, AlgebraElement, Generator, dga_from_doc
 from sftkit.energy import admissible, glue_energy
 from sftkit.errors import NegativeExponent, UnresolvedComparison
 from sftkit.models import hc_window, linearized_ranks, surgery_cone_ranks
-from sftkit.ring import RING_Q, RING_QU, ExactMatrix, UPoly, poly_gcd, smith_normal_form
+from sftkit.ring import RING_Q, RING_QU, ExactMatrix, UPoly, smith_normal_form
 from sftkit.trees import (
     check_positivity,
     concatenate,

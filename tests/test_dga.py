@@ -3,9 +3,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import random
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import evaluate, reference_homology, seeded_rng
 from sftkit.cyclic import cyclic_complex
@@ -13,6 +14,7 @@ from sftkit.dga import (
     DGA,
     AlgebraElement,
     ChainComplex,
+    MODE_ASSOCIATIVE,
     Generator,
     augment,
     dga_from_doc,
@@ -257,6 +259,27 @@ def test_homology_torsion_example():
     assert [str(t) for t in summary[0].torsion] == ["U"]
 
 
+def test_u_exact_pair_homology_is_fast():
+    # da = U*b: every torsion factor is U.  The Euclidean Smith form over
+    # Fractions took 10 s for this window, one Smith form per boundary.
+    u = UPoly.monomial(1)
+    pair = DGA(RING_QU, MODE_ASSOCIATIVE, [Generator("a", 2), Generator("b", 1)],
+               {"a": AlgebraElement(RING_QU, {("b",): u})})
+    start = time.perf_counter()
+    summary = homology(cyclic_complex(pair, 0, 16), 0, 16)
+    assert time.perf_counter() - start < 5
+    torsion = [t for k in summary for t in summary[k].torsion]
+    assert len(torsion) > 10 and all(t == u for t in torsion)
+    assert all(summary[k].free_rank == 0 for k in summary)
+
+
+def test_homology_torsion_not_a_power_of_u():
+    d = load("torsion_qu.json")
+    summary = homology(word_complex(d, 0, 4), 0, 3)
+    assert [str(t) for t in summary[1].torsion] == ["U^2 - 1"]
+    assert [str(t) for t in summary[3].torsion] == ["U^2 - 1", "U^3 + 2/3*U^2 - U - 2/3"]
+
+
 def test_word_complex_unit_survives():
     d = make_q(
         "commutative",
@@ -331,7 +354,13 @@ def closed_exact_algebras(draw):
 @settings(deadline=None, max_examples=40)
 @given(closed_exact_algebras(), st.integers(1, 5))
 def test_homology_matches_reference_over_q(algebra, hi):
-    for cx in (word_complex(algebra, 0, hi + 1), cyclic_complex(algebra, 0, hi)):
+    try:
+        complexes = (word_complex(algebra, 0, hi + 1), cyclic_complex(algebra, 0, hi))
+    except TooLarge:
+        # up to six degree-1 generators give 6^6 words in degree 6, past
+        # BASIS_LIMIT, which test_cyclic.py checks is refused
+        assume(False)
+    for cx in complexes:
         assert homology(cx, 0, hi) == reference_homology(cx, 0, hi)
 
 

@@ -20,6 +20,9 @@ from pathlib import Path
 ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden_machine.json"
 DOCS = ("acyclic_unit", "broken", "exact_pair", "legendrian_q", "orbit_qu")
+# torsion_qu has torsion factors that are not powers of U; it is kept out of
+# DOCS because its deeper cyclic windows are slow
+TORSION = "tests/data/torsion_qu.json"
 
 
 def commands():
@@ -38,6 +41,12 @@ def commands():
     out += [["model", "hc", "--n", str(n)] for n in range(4, 13)]
     out.append(["model", "ranks", "--n", "5", "--N", "12"])
     out.append(["model", "cone", "--k", "2", "--n", "5", "--top", "10"])
+    out += [
+        ["dga", TORSION, "--homology", "0..6"],
+        ["dga", TORSION, "--linearize", "zero", "--homology", "0..6"],
+        ["cyclic", TORSION, "--window", "0..8"],
+        ["cyclic", TORSION, "--window", "1..8", "--link", "0"],
+    ]
     return [["--format", "machine", *argv] for argv in out]
 
 

@@ -1,29 +1,34 @@
 """Exact arithmetic and normal form tests.
 
-The Smith form is checked against an independent oracle: the product of the
+The Smith form is checked against independent oracles: the product of the
 first k invariant factors must equal the monic gcd of all k x k minors,
-computed by brute-force cofactor determinants.
+computed by brute-force cofactor determinants; the original Euclidean loop
+(``helpers.reference_smith_normal_form``) and sympy's invariant factors over
+QQ[U] must give the same factors.
 """
 
 import itertools
 import pickle
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_rank_q, det, evaluate, rank, seeded_rng
+from helpers import (dense_rank_q, det, evaluate, poly_gcd, rank, reference_smith_normal_form,
+                     seeded_rng)
 from sftkit.dga import AlgebraElement
 from sftkit.ring import (
     RING_Q,
     RING_QU,
     ExactMatrix,
     UPoly,
+    _invariant_factors,
     _rank_q,
     coerce,
     one,
     parse_upoly,
-    poly_gcd,
     smith_normal_form,
     zero,
 )
@@ -257,3 +262,110 @@ def test_rank_q_matches_dense_reference_and_sympy(rows):
         assert dm.rank() == want
     else:
         assert want == 0
+
+
+def test_constant_upoly_hashes_like_its_constant():
+    assert len({UPoly.const(2), 2, Fraction(2)}) == 1
+    assert len({UPoly(), 0, Fraction(0)}) == 1
+    assert len({UPoly.const(Fraction(1, 2)), Fraction(1, 2), U, U + 1}) == 3
+    table = {2: "two", Fraction(1, 3): "third", U: "U"}
+    assert table[UPoly.const(2)] == "two"
+    assert table[UPoly.const(Fraction(1, 3))] == "third"
+    assert table[UPoly.monomial(1)] == "U"
+    table[UPoly()] = "zero"
+    assert table[0] == "zero" and table[Fraction(0)] == "zero"
+
+
+@st.composite
+def smith_inputs(draw):
+    """Matrices over Q or Q[U] up to 5 x 5: coefficients in [-3, 3] with
+    denominators up to 10^3, entries of degree <= 2 over Q[U], sparse, dense
+    or diagonal, with some rows and columns zeroed.  Over Q[U] the entries
+    of diagonal matrices, and of some matrices up to 3 x 3, are all
+    nonconstant.  Dense matrices stop at 4 x 4 and nonconstant nondiagonal
+    ones at 3 x 3: beyond that both Euclidean Smith forms (the kernel and
+    the reference) blow up their coefficients, while sympy stays fast."""
+    ring = draw(st.sampled_from([RING_Q, RING_QU]))
+    # nonzero on the diagonal only, or a percent of nonzero cells
+    fill = draw(st.sampled_from(["diagonal", 30, 60, 100]))
+    side = st.integers(2 if fill == "diagonal" else 0, 4 if fill == 100 else 5)
+    nrows, ncols = draw(side), draw(side)
+    big = max(nrows, ncols)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=1000)
+    if ring == RING_Q:
+        entry = coeff
+    else:
+        # 2 coefficients at least: nonconstant entries, so that no unit pivot
+        # hides a failed divisibility
+        lowest = 2 if fill == "diagonal" or (big <= 3 and draw(st.booleans())) else 1
+        entry = st.builds(UPoly, st.lists(coeff, min_size=lowest, max_size=3))
+    rows = [[draw(entry) if (i == j if fill == "diagonal" else draw(st.integers(0, 99)) < fill)
+             else 0 for j in range(ncols)] for i in range(nrows)]
+    for i in draw(st.lists(st.integers(0, 4), max_size=2)):
+        if nrows:
+            rows[i % nrows] = [0] * ncols
+    for j in draw(st.lists(st.integers(0, 4), max_size=2)):
+        if ncols:
+            for row in rows:
+                row[j % ncols] = 0
+    return ExactMatrix(ring, rows)
+
+
+def sympy_factors(m: ExactMatrix) -> tuple:
+    """Nonzero invariant factors from sympy over QQ[U], monic, as sftkit values."""
+    from sympy import QQ, symbols
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+
+    if not m.nrows or not m.ncols:
+        return ()
+    qu = QQ[symbols("U")]
+    poly = (lambda x: [x]) if m.ring == RING_Q else (lambda x: x.coeffs)
+    dm = DomainMatrix([[qu.ring.from_list([QQ(c.numerator, c.denominator)
+                                           for c in reversed(poly(x))]) if x else qu.zero
+                        for x in row] for row in m.rows], (m.nrows, m.ncols), qu)
+    out = []
+    for f in invariant_factors(dm):
+        if f:
+            coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(f.to_dense())]
+            out.append(UPoly([c / coeffs[-1] for c in coeffs]))
+    return tuple(f.coeffs[0] if m.ring == RING_Q else f for f in out)
+
+
+@settings(deadline=None, max_examples=150)
+@given(smith_inputs())
+def test_smith_kernel_matches_reference_and_sympy(m):
+    res = smith_normal_form(m)
+    assert res.factors == reference_smith_normal_form(m).factors
+    assert res.factors == sympy_factors(m)
+    assert _invariant_factors(m) == res.factors
+    if m.ring == RING_Q:
+        assert all(type(f) is Fraction and f == 1 for f in res.factors)
+    else:
+        assert all(f.leading() == 1 for f in res.factors)
+        for a, b in zip(res.factors, res.factors[1:]):
+            assert (b % a).is_zero()
+    assert res.diagonal.rows == tuple(
+        tuple(res.factors[i] if i == j and i < len(res.factors) else zero(m.ring)
+              for j in range(m.ncols)) for i in range(m.nrows))
+    assert res.verify(m)
+    assert res.left @ res.left_inverse == ExactMatrix.identity(m.ring, m.nrows)
+    assert res.right @ res.right_inverse == ExactMatrix.identity(m.ring, m.ncols)
+
+
+def benchmark_qu_matrix(rng: random.Random, size: int) -> ExactMatrix:
+    """The random square matrices of the benchmark's Smith batch: each entry
+    has 1-3 coefficients uniform in [-3, 3]."""
+    return ExactMatrix(RING_QU, [[UPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+                                  for _ in range(size)] for _ in range(size)])
+
+
+def test_smith_5x5_worst_case_is_certified_quickly():
+    # the Euclidean loop over Fractions took 3.6 s here, with 28 681-bit
+    # coefficients in its transforms
+    m = benchmark_qu_matrix(random.Random(2), 5)
+    start = time.perf_counter()
+    res = smith_normal_form(m)
+    assert res.verify(m)
+    assert time.perf_counter() - start < 5
+    assert res.factors == sympy_factors(m)
