@@ -10,6 +10,7 @@ parse failure, 2 mathematical domain errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -370,7 +371,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves no
+    state on it, so every call to ``main`` reuses it."""
     parser = _Parser(prog="sftkit", description=__doc__)
     parser.add_argument("--format", choices=("table", "machine"), default="table")
     sub = parser.add_subparsers(dest="command", required=True)

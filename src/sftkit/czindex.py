@@ -101,20 +101,6 @@ class PathSpec:
         raise ValueError(f"unknown path family {self.family!r}")
 
 
-def path_index(path: PathSpec, subdivisions: int = 256):
-    """Index of a path by the method its family admits.
-
-    Rotation and local-model blocks go through the crossing count (equal to the
-    closed form); shear blocks get the half-integer index with the loop
-    shift.
-    """
-    if path.family == "shear":
-        if path.blocks is None:
-            raise ValueError("shear paths need a block count")
-        return rs_shear(path.blocks, path.loop_k)
-    return cz_crossing(path, subdivisions=subdivisions)
-
-
 def cz_crossing(path: PathSpec, subdivisions: int = 256) -> int:
     """Index 1 + 2 * #{t in (0,1) : lam(t) integer} for a monotone trajectory.
 

@@ -99,10 +99,6 @@ class AlgebraElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def scaled(self, factor) -> "AlgebraElement":
-        factor = coerce(self.ring, factor)
-        return AlgebraElement(self.ring, {w: c * factor for w, c in self.terms.items()})
-
     def sorted_terms(self) -> List[Tuple[Word, Coeff]]:
         return sorted(self.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
 
@@ -233,15 +229,6 @@ class DGA:
             nw, nc = self.normalize_word(word, coeff)
             if nc:
                 out[nw] = out[nw] + nc if nw in out else nc
-        return AlgebraElement(self.ring, out)
-
-    def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        out: Dict[Word, Coeff] = {}
-        for wa, ca in a.terms.items():
-            for wb, cb in b.terms.items():
-                nw, nc = self.normalize_word(wa + wb, ca * cb)
-                if nc:
-                    out[nw] = out[nw] + nc if nw in out else nc
         return AlgebraElement(self.ring, out)
 
     # differential ----------------------------------------------------------

@@ -4,18 +4,17 @@ Type A data is a pair of cutting constants (C-, C+) with energy C- + C+;
 Type B data is a sampled family (C2, C1, C1~, C0)(t) whose energy is the
 supremum of C2 + C0 - C1 - C1~ over the samples.  The admissibility gate
 r+ > e^E r- decides when a cobordism induces a map; since e^E is
-transcendental for rational nonzero E, the comparison runs in interval
-arithmetic with outward rounding and refuses to answer within 1e-12 of
+transcendental for rational nonzero E, the comparison encloses it between
+dyadic rationals with outward rounding and refuses to answer within 1e-12 of
 equality rather than silently flipping a strict inequality.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple, Union
-
-import mpmath
 
 from .errors import BoundaryConditionViolated, NotSupported, UnresolvedComparison
 
@@ -23,44 +22,138 @@ Real = Union[int, float, Fraction]
 
 EQUALITY_TOLERANCE = Fraction(1, 10**12)
 
+# Working precisions in bits, tried in turn until the comparison separates.
+_PRECISIONS = (80, 160, 320)
+# log2(e) = 1.44269504088896...
+_LOG2E_LOW, _LOG2E_HIGH = Fraction(14426950408, 10**10), Fraction(14426950409, 10**10)
+
 
 def exp_scaled_compare(lhs: Real, coeff: Real, energy: Real, rhs: Real, strict: bool = True) -> bool:
     """Decide lhs > coeff * e^energy * rhs (or >= when strict=False), carefully.
 
-    Zero energy is decided exactly.  Otherwise the right-hand side is
-    enclosed in a shrinking interval; if the difference cannot be resolved
-    outside the 1e-12 band the comparison raises UnresolvedComparison.
+    Zero energy is decided exactly.  Otherwise e^energy is enclosed between
+    two dyadic rationals (``_exp_bounds``) and the difference
+    lhs - coeff*e^energy*rhs between two exact rationals; if the difference
+    cannot be resolved outside the 1e-12 band the comparison raises
+    UnresolvedComparison.  An energy of -inf is e^E = 0; an infinite or NaN
+    input anywhere else decides (or spoils) the comparison in floats.
     """
     if rhs == 0:
         return lhs > 0 if strict else lhs >= 0
     if energy == 0:
         product = Fraction(coeff) * Fraction(rhs) if not isinstance(coeff, float) and not isinstance(rhs, float) else coeff * rhs
         return lhs > product if strict else lhs >= product
-    tol = float(EQUALITY_TOLERANCE)
-    for prec in (80, 160, 320):
-        iv = mpmath.iv
-        iv.prec = prec
-        e = iv.exp(_to_iv(energy))
-        rhs_iv = _to_iv(coeff) * e * _to_iv(rhs)
-        diff = _to_iv(lhs) - rhs_iv
-        lo, hi = mpmath.mpf(diff.a), mpmath.mpf(diff.b)
-        if hi < -tol:
-            return False
-        if lo > tol:
-            return True
-        if -tol < lo and hi < tol:
+    if not (_finite(lhs) and _finite(coeff) and _finite(rhs) and (_finite(energy) or energy < 0)):
+        diff = float(lhs) - float(coeff) * (1.0 if _finite(energy) else math.exp(energy)) * float(rhs)
+        if math.isnan(diff):
             raise UnresolvedComparison(
-                f"difference {float(lo)}..{float(hi)} is within 1e-12 of equality"
+                "could not separate lhs from coeff*e^E*rhs: enclosure -inf..inf")
+        return diff > 0
+    a = Fraction(lhs)
+    p = Fraction(coeff) * Fraction(rhs)
+    above, below = a - EQUALITY_TOLERANCE, a + EQUALITY_TOLERANCE
+    for bits in _PRECISIONS:
+        low, high = _exp_bounds(energy, bits)
+        if p < 0:
+            low, high = high, low
+        # the difference a - p*e^E lies in [a - p*high, a - p*low]
+        if _sign(below, p, low) < 0:
+            return False
+        if _sign(above, p, high) > 0:
+            return True
+        if _sign(below, p, high) > 0 and _sign(above, p, low) < 0:
+            raise UnresolvedComparison(
+                f"difference {_float(a, p, high)}..{_float(a, p, low)} is within 1e-12 of equality"
             )
     raise UnresolvedComparison(
-        f"could not separate lhs from coeff*e^E*rhs: enclosure {float(lo)}..{float(hi)}"
+        f"could not separate lhs from coeff*e^E*rhs: enclosure "
+        f"{_float(a, p, high)}..{_float(a, p, low)}"
     )
 
 
-def _to_iv(x: Real):
-    if isinstance(x, Fraction):
-        return mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)
-    return mpmath.iv.mpf(x)
+def _finite(x: Real) -> bool:
+    return not isinstance(x, float) or math.isfinite(x)
+
+
+def _exp_bounds(energy: Real, bits: int):
+    """Bounds (m, x) below and above e^energy, each meaning m * 2**x.
+
+    The energy is halved k times to r with |r| <= 1/2; the Taylor series of
+    e^r is summed in fixed point with p = bits + k + 8 fractional bits until
+    a term truncates to zero (each truncated term is under 2 units low, and
+    the tail is under twice the first omitted term); the bounds are then
+    squared k times, rounded outward to p bits after each squaring.
+    """
+    if energy == -math.inf:
+        return (0, 0), (0, 0)
+    r = Fraction(energy)
+    num, den = abs(r.numerator), r.denominator
+    k = max(0, (2 * num).bit_length() - den.bit_length())
+    while 2 * num > den << k:
+        k += 1
+    if k > 64:
+        # |energy| > 2**63: the exponent of e^energy runs to 10**19 bits,
+        # beyond any rational it could be compared with, so a 10-digit
+        # enclosure of log2(e) decides every comparison
+        lo, hi = sorted((r * _LOG2E_LOW, r * _LOG2E_HIGH))
+        return (1, math.floor(lo)), (1, math.ceil(hi))
+    p = bits + k + 8
+    den <<= k
+    alternate = r < 0
+    total = term = 1 << p
+    j = 0
+    while term:
+        j += 1
+        term = term * num // (den * j)
+        total += -term if alternate and j % 2 else term
+    err = 2 * j + 2
+    lo, hi, lo_x, hi_x = total - err, total + err, -p, -p
+    for _ in range(k):
+        lo, hi, lo_x, hi_x = lo * lo, hi * hi, 2 * lo_x, 2 * hi_x
+        shift = lo.bit_length() - p
+        if shift > 0:
+            lo >>= shift
+            lo_x += shift
+        shift = hi.bit_length() - p
+        if shift > 0:
+            hi = -(-hi >> shift)
+            hi_x += shift
+    return (lo, lo_x), (hi, hi_x)
+
+
+def _sign(u: Fraction, p: Fraction, bound) -> int:
+    """Sign of u - p * m * 2**x for bound = (m, x).
+
+    2**x is built only when the two sides are within a factor of 4 of each
+    other, so a huge |x| costs nothing.
+    """
+    m, x = bound
+    a = u.numerator * p.denominator
+    b = p.numerator * m * u.denominator
+    gap = a.bit_length() - b.bit_length() - x
+    if not b or (a and gap > 1):
+        d = a
+    elif not a or gap < -1:
+        d = -b
+    else:
+        d = a - (b << x) if x >= 0 else (a << -x) - b
+    return (d > 0) - (d < 0)
+
+
+def _float(a: Fraction, p: Fraction, bound) -> float:
+    """a - p * m * 2**x as a float, for messages.  Past |x| = 2**16 the term
+    is taken as 0 or as infinite: no float could show the difference."""
+    m, x = bound
+    if not p or x < -(1 << 16):
+        q = a
+    elif x > 1 << 16:
+        return -math.inf if p > 0 else math.inf
+    else:
+        q = a - p * m * (Fraction(1 << x) if x >= 0 else Fraction(1, 1 << -x))
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
-
-import mpmath
 
 from . import cyclic as cyclic_mod
 from . import dga as dga_mod
-from .czindex import rs_shear
 from .errors import OddDimension, OutOfRange, WindowNotGuaranteed
 from .ring import RING_Q
 
@@ -57,27 +55,44 @@ class TableRow:
 GeneratorTable = Tuple[TableRow, ...]
 
 
+# pi to 100 decimal places, truncated
+PI = Fraction("3.1415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679")
+
+# a*rho/pi within this relative distance of an integer is taken as that integer
+SNAP_TOLERANCE = Fraction(1, 10**9)
+
+
 def interior_orbit_bound(a: float, rho: float) -> int:
     """Strict lower bound floor(a*rho/pi) for indices of orbits away from the
     model neighborhood.
 
     Floating inputs within 1e-9 (relative) of making a*rho/pi an integer are
     taken to mean that integer exactly, so e.g. a = 10, rho = pi gives 10.
+    The quotient is exact against 100 digits of pi, so the floor is right
+    while a*rho/pi stays below about 10**90.
     """
     if a <= 0 or rho <= 0:
         raise ValueError("a and rho must be positive")
-    with mpmath.workdps(60):
-        x = mpmath.mpf(a) * mpmath.mpf(rho) / mpmath.pi
-        nearest = mpmath.nint(x)
-        if abs(x - nearest) <= 1e-9 * max(1, abs(x)):
-            return int(nearest)
-        return int(mpmath.floor(x))
+    x = _exact(a) * _exact(rho) / PI
+    nearest = round(x)
+    if abs(x - nearest) <= SNAP_TOLERANCE * max(1, abs(x)):
+        return nearest
+    return math.floor(x)
 
 
 def threshold_parameter(N: int, rho: float) -> float:
     """Smallest a certifying that interior orbits clear the window [0, N)."""
-    with mpmath.workdps(60):
-        return float(mpmath.mpf(N) * mpmath.pi / mpmath.mpf(rho))
+    q = N * PI / _exact(rho)
+    try:
+        return float(q)
+    except OverflowError:  # rho below 2**-1000 or so
+        return math.inf if q > 0 else -math.inf
+
+
+def _exact(x) -> Fraction:
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"a and rho must be finite, got {x}")
+    return Fraction(x)
 
 
 def model_orbits(params: ModelParams) -> GeneratorTable:
@@ -262,33 +277,3 @@ def triangle_third_bounds(
         hi = bk + ak1
         out[k] = (lo, hi)
     return out
-
-
-def check_triangle_ranks(
-    a: Dict[int, int], b: Dict[int, int], c: Dict[int, int], degrees
-) -> List[str]:
-    """Report degrees where the supplied third-term ranks violate exactness."""
-    bounds = triangle_third_bounds(a, b, degrees)
-    problems = []
-    for k in degrees:
-        lo, hi = bounds[k]
-        ck = c.get(k, 0)
-        if not (lo <= ck <= hi):
-            problems.append(f"degree {k}: rank {ck} outside [{lo}, {hi}]")
-    return problems
-
-
-def index_consistency(n: int, table: GeneratorTable) -> List[str]:
-    """Cross-check orbit indices against the shear-block index calculator."""
-    problems = []
-    base = rs_shear(n - 1, 0)
-    for row in table:
-        if row.family == FAMILY_ORBIT_A:
-            expected = rs_shear(n - 1, row.cover) - base
-        elif row.family == FAMILY_ORBIT_B:
-            expected = rs_shear(n - 1, row.cover) - base + (n - 1)
-        else:
-            continue
-        if expected != row.cz:
-            problems.append(f"{row.generator.name}: index {row.cz} != {expected}")
-    return problems

@@ -313,6 +313,10 @@ class ExactMatrix:
     def __setattr__(self, *a):
         raise AttributeError("ExactMatrix is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__, as UPoly does
+        return ExactMatrix, (self.ring, self.rows)
+
     @staticmethod
     def identity(ring: str, n: int) -> "ExactMatrix":
         e, z = one(ring), zero(ring)

@@ -181,10 +181,6 @@ class DecoratedForest:
     def outgoing(self, vid: str) -> List[Edge]:
         return [e for e in self.edges.values() if e.src == vid]
 
-    def exterior_orbit_multiset(self) -> tuple:
-        labels = [e.orbit.key() for e in self.input_edges() + self.output_edges()]
-        return tuple(sorted(labels))
-
 
 def intersection_number(forest: DecoratedForest) -> int:
     """Building intersection number: vertex data minus interior cylinder terms."""

@@ -19,7 +19,15 @@ fraction-free kernel.  ``poly_gcd`` is the monic Euclidean gcd in Q[U].
 ``det`` (division-free cofactor expansion), ``rank`` (with ``_rank_qu``,
 fraction-free elimination over Q(U)), ``evaluate`` (U := s) and
 ``boundary_matrix`` (a stored boundary or the zero matrix) are matrix
-operations that only the tests use.
+operations that only the tests use; so are ``multiply`` and ``scaled``
+(algebra elements), ``exterior_orbit_multiset`` (forests), ``path_index``
+(index by path family), ``check_triangle_ranks`` and ``index_consistency``
+(model tables).
+
+``reference_exp_scaled_compare``, ``reference_interior_orbit_bound`` and
+``reference_threshold_parameter`` are the original mpmath implementations
+(interval ``exp`` at 80/160/320 bits, pi at 60 digits): the oracles for the
+exact rational enclosures in ``sftkit.energy`` and ``sftkit.models``.
 
 Random forests follow the standing geometric hypotheses: orbits in the
 submanifold have normal parity 1 (positive elliptic), and by default every
@@ -30,14 +38,19 @@ the submanifold) when all its ends lie there, s >= 0 otherwise).
 import os
 import random
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
+
+import mpmath
 
 from sftkit.cyclic import CyclicWord
-from functools import lru_cache
-
-from sftkit.dga import DGA, ChainComplex, Coeff, HomologySummary, Word, word_basis
-from sftkit.errors import InfiniteBasis, NonComposable
-from sftkit.ring import (RING_Q, ExactMatrix, SmithResult, UPoly, _as_poly, _rank_q, one,
+from sftkit.czindex import PathSpec, cz_crossing, rs_shear
+from sftkit.dga import (DGA, AlgebraElement, ChainComplex, Coeff, HomologySummary, Word,
+                        word_basis)
+from sftkit.energy import EQUALITY_TOLERANCE
+from sftkit.errors import InfiniteBasis, NonComposable, UnresolvedComparison
+from sftkit.models import FAMILY_ORBIT_A, FAMILY_ORBIT_B, GeneratorTable, triangle_third_bounds
+from sftkit.ring import (RING_Q, ExactMatrix, SmithResult, UPoly, _as_poly, _rank_q, coerce, one,
                          smith_normal_form, zero)
 from sftkit.trees import DecoratedForest, Edge, OrbitLabel, Vertex
 
@@ -490,3 +503,135 @@ def reference_smith_normal_form(m: ExactMatrix) -> SmithResult:
         left_inverse=ExactMatrix(ring, linv),
         right_inverse=ExactMatrix(ring, rinv),
     )
+
+
+# names only the tests call ------------------------------------------------------
+
+
+def multiply(dga: DGA, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    out: Dict[Word, Coeff] = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            nw, nc = dga.normalize_word(wa + wb, ca * cb)
+            if nc:
+                out[nw] = out[nw] + nc if nw in out else nc
+    return AlgebraElement(dga.ring, out)
+
+
+def scaled(elem: AlgebraElement, factor) -> AlgebraElement:
+    factor = coerce(elem.ring, factor)
+    return AlgebraElement(elem.ring, {w: c * factor for w, c in elem.terms.items()})
+
+
+def exterior_orbit_multiset(forest: DecoratedForest) -> tuple:
+    labels = [e.orbit.key() for e in forest.input_edges() + forest.output_edges()]
+    return tuple(sorted(labels))
+
+
+def path_index(path: PathSpec, subdivisions: int = 256):
+    """Index of a path by the method its family admits.
+
+    Rotation and local-model blocks go through the crossing count (equal to the
+    closed form); shear blocks get the half-integer index with the loop
+    shift.
+    """
+    if path.family == "shear":
+        if path.blocks is None:
+            raise ValueError("shear paths need a block count")
+        return rs_shear(path.blocks, path.loop_k)
+    return cz_crossing(path, subdivisions=subdivisions)
+
+
+def check_triangle_ranks(
+    a: Dict[int, int], b: Dict[int, int], c: Dict[int, int], degrees
+) -> List[str]:
+    """Report degrees where the supplied third-term ranks violate exactness."""
+    bounds = triangle_third_bounds(a, b, degrees)
+    problems = []
+    for k in degrees:
+        lo, hi = bounds[k]
+        ck = c.get(k, 0)
+        if not (lo <= ck <= hi):
+            problems.append(f"degree {k}: rank {ck} outside [{lo}, {hi}]")
+    return problems
+
+
+def index_consistency(n: int, table: GeneratorTable) -> List[str]:
+    """Cross-check orbit indices against the shear-block index calculator."""
+    problems = []
+    base = rs_shear(n - 1, 0)
+    for row in table:
+        if row.family == FAMILY_ORBIT_A:
+            expected = rs_shear(n - 1, row.cover) - base
+        elif row.family == FAMILY_ORBIT_B:
+            expected = rs_shear(n - 1, row.cover) - base + (n - 1)
+        else:
+            continue
+        if expected != row.cz:
+            problems.append(f"{row.generator.name}: index {row.cz} != {expected}")
+    return problems
+
+
+# mpmath references for the exact enclosures ---------------------------------------
+
+
+def reference_exp_scaled_compare(lhs, coeff, energy, rhs, strict: bool = True) -> bool:
+    """Decide lhs > coeff * e^energy * rhs (or >= when strict=False), carefully.
+
+    Zero energy is decided exactly.  Otherwise the right-hand side is
+    enclosed in a shrinking interval; if the difference cannot be resolved
+    outside the 1e-12 band the comparison raises UnresolvedComparison.
+    """
+    if rhs == 0:
+        return lhs > 0 if strict else lhs >= 0
+    if energy == 0:
+        product = Fraction(coeff) * Fraction(rhs) if not isinstance(coeff, float) and not isinstance(rhs, float) else coeff * rhs
+        return lhs > product if strict else lhs >= product
+    tol = float(EQUALITY_TOLERANCE)
+    for prec in (80, 160, 320):
+        iv = mpmath.iv
+        iv.prec = prec
+        e = iv.exp(_to_iv(energy))
+        rhs_iv = _to_iv(coeff) * e * _to_iv(rhs)
+        diff = _to_iv(lhs) - rhs_iv
+        lo, hi = mpmath.mpf(diff.a), mpmath.mpf(diff.b)
+        if hi < -tol:
+            return False
+        if lo > tol:
+            return True
+        if -tol < lo and hi < tol:
+            raise UnresolvedComparison(
+                f"difference {float(lo)}..{float(hi)} is within 1e-12 of equality"
+            )
+    raise UnresolvedComparison(
+        f"could not separate lhs from coeff*e^E*rhs: enclosure {float(lo)}..{float(hi)}"
+    )
+
+
+def _to_iv(x):
+    if isinstance(x, Fraction):
+        return mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)
+    return mpmath.iv.mpf(x)
+
+
+def reference_interior_orbit_bound(a: float, rho: float) -> int:
+    """Strict lower bound floor(a*rho/pi) for indices of orbits away from the
+    model neighborhood.
+
+    Floating inputs within 1e-9 (relative) of making a*rho/pi an integer are
+    taken to mean that integer exactly, so e.g. a = 10, rho = pi gives 10.
+    """
+    if a <= 0 or rho <= 0:
+        raise ValueError("a and rho must be positive")
+    with mpmath.workdps(60):
+        x = mpmath.mpf(a) * mpmath.mpf(rho) / mpmath.pi
+        nearest = mpmath.nint(x)
+        if abs(x - nearest) <= 1e-9 * max(1, abs(x)):
+            return int(nearest)
+        return int(mpmath.floor(x))
+
+
+def reference_threshold_parameter(N: int, rho: float) -> float:
+    """Smallest a certifying that interior orbits clear the window [0, N)."""
+    with mpmath.workdps(60):
+        return float(mpmath.mpf(N) * mpmath.pi / mpmath.mpf(rho))

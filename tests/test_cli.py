@@ -23,6 +23,16 @@ def run_subprocess(*argv, timeout):
     return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout, env=env)
 
 
+def test_import_loads_every_layer_and_no_mpmath():
+    code = ("import sys, sftkit.cli; "
+            "layers = ('czindex', 'energy', 'trees', 'models'); "
+            "print('mpmath' in sys.modules, all('sftkit.' + m in sys.modules for m in layers))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env=env, check=True).stdout
+    assert out == "False True\n"
+
+
 def machine_payload(out: str) -> dict:
     header, _, body = out.partition("\n")
     assert header == MACHINE_HEADER

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import seeded_rng
+from helpers import path_index, seeded_rng
 from sftkit.czindex import (
     PathSpec,
     cz_crossing,
@@ -11,7 +11,6 @@ from sftkit.czindex import (
     cz_gamma_orbit,
     cz_rotation,
     normal_index_data,
-    path_index,
     rs_shear,
 )
 from sftkit.errors import BadResonance, DegeneratePath, GenericityViolated

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import evaluate, reference_homology, seeded_rng
+from helpers import evaluate, multiply, reference_homology, scaled, seeded_rng
 from sftkit.cyclic import cyclic_complex
 from sftkit.dga import (
     DGA,
@@ -118,9 +118,9 @@ def test_leibniz_property_random():
         v = d.element({v_raw: 1})
         if w.is_zero() or v.is_zero():
             continue
-        lhs = d.apply_differential(d.multiply(w, v))
+        lhs = d.apply_differential(multiply(d, w, v))
         sign = -1 if d.degree_of_word(w_raw) % 2 else 1
-        rhs = d.multiply(d.apply_differential(w), v) + d.multiply(w, d.apply_differential(v)).scaled(sign)
+        rhs = multiply(d, d.apply_differential(w), v) + scaled(multiply(d, w, d.apply_differential(v)), sign)
         assert lhs == rhs
 
 

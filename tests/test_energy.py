@@ -1,11 +1,16 @@
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import seeded_rng
+from helpers import reference_exp_scaled_compare, seeded_rng
 from sftkit.energy import (
+    _PRECISIONS,
     TypeADecomposition,
+    _exp_bounds,
     TypeBDecomposition,
     admissible,
     exp_scaled_compare,
@@ -83,8 +88,6 @@ def test_admissible_zero_energy_is_exact():
 
 def test_admissible_refuses_knife_edge():
     # r+ agreeing with e^1 to ~1e-16 cannot be safely compared strictly.
-    import mpmath
-
     r_plus = Fraction(mpmath.nstr(mpmath.exp(1), 30)).limit_denominator(10 ** 15)
     with pytest.raises(UnresolvedComparison):
         admissible(r_plus, 1, 1)
@@ -127,3 +130,86 @@ def test_admissible_matches_float_heuristic_away_from_edges():
         if gap < 1e-9:
             continue
         assert admissible(r_plus, r_minus, energy) is expected
+
+
+def test_huge_energies_are_decided_at_once():
+    start = time.perf_counter()
+    assert admissible(1, 1, Fraction(10) ** 100000) is False
+    assert admissible(1, 1, -Fraction(10) ** 100000) is True
+    assert admissible(Fraction(10) ** 400, 1, 920) is True   # 10**400 > e^920 ~ 10**399.6
+    assert admissible(Fraction(10) ** 399, 1, 920) is False
+    with pytest.raises(UnresolvedComparison):
+        admissible(Fraction(1, 10 ** 13), 1, -Fraction(10) ** 100000)
+    assert time.perf_counter() - start < 2.0
+
+
+# oracle: the mpmath interval code this module used to run ---------------------------
+
+INF = float("inf")
+reals = st.one_of(
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.integers(min_value=-1000, max_value=1000),
+)
+energies = st.one_of(
+    st.fractions(min_value=-700, max_value=700, max_denominator=10 ** 6),
+    st.floats(min_value=-700, max_value=700),
+    st.integers(min_value=-700, max_value=700),
+    st.sampled_from([INF, -INF]),
+)
+
+
+def outcome(compare, *args, **kwargs):
+    try:
+        return compare(*args, **kwargs)
+    except UnresolvedComparison:
+        return "refused"
+
+
+@settings(max_examples=400, deadline=None)
+@given(reals | st.sampled_from([INF, -INF]), reals, energies, reals, st.booleans())
+def test_exp_scaled_compare_matches_mpmath(lhs, coeff, energy, rhs, strict):
+    assert (outcome(exp_scaled_compare, lhs, coeff, energy, rhs, strict)
+            == outcome(reference_exp_scaled_compare, lhs, coeff, energy, rhs, strict))
+
+
+def near(coeff, energy, rhs) -> Fraction:
+    """coeff * e^energy * rhs to 110 significant digits."""
+    q = [Fraction(x) for x in (coeff, energy, rhs)]
+    with mpmath.workdps(120):
+        c, e, r = (mpmath.mpf(x.numerator) / x.denominator for x in q)
+        return Fraction(mpmath.nstr(c * mpmath.exp(e) * r, 110))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reals, st.one_of(st.fractions(min_value=-60, max_value=60, max_denominator=10 ** 6),
+                        st.floats(min_value=-60, max_value=60)),
+       reals, st.integers(min_value=-40, max_value=40).filter(lambda k: abs(k) != 10),
+       st.booleans(), st.booleans())
+def test_exp_scaled_compare_near_equality_matches_mpmath(coeff, energy, rhs, offset,
+                                                        as_float, strict):
+    # lhs is offset/10 of the tolerance away from coeff*e^E*rhs, so every
+    # offset in -9..9 lands in the refusal band; offsets of exactly +-10 are
+    # left out, where the old code's float tolerance and the exact one differ
+    lhs = near(coeff, energy, rhs) + Fraction(offset, 10 ** 13)
+    if as_float:
+        lhs = float(lhs)
+    got = outcome(exp_scaled_compare, lhs, coeff, energy, rhs, strict)
+    assert got == outcome(reference_exp_scaled_compare, lhs, coeff, energy, rhs, strict)
+    if not as_float and coeff and rhs and energy and abs(offset) < 10:
+        assert got == "refused"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.fractions(min_value=-700, max_value=700, max_denominator=10 ** 9),
+                 st.floats(min_value=-700, max_value=700).filter(bool),
+                 st.integers(min_value=-700, max_value=700).filter(bool)),
+       st.sampled_from(_PRECISIONS))
+def test_exp_bounds_enclose_e_to_the_energy_tightly(energy, bits):
+    (lo, lo_x), (hi, hi_x) = _exp_bounds(energy, bits)
+    q = Fraction(energy)
+    with mpmath.workprec(bits + 200):
+        e = mpmath.exp(mpmath.mpf(q.numerator) / q.denominator)
+        low, high = mpmath.ldexp(lo, lo_x), mpmath.ldexp(hi, hi_x)
+        assert low < e < high
+        assert high - low < e * mpmath.ldexp(1, 2 - bits)

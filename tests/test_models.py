@@ -1,14 +1,17 @@
 import math
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import (check_triangle_ranks, index_consistency, reference_interior_orbit_bound,
+                     reference_threshold_parameter)
 from sftkit.czindex import rs_shear
 from sftkit.errors import OddDimension, OutOfRange, WindowNotGuaranteed
 from sftkit.models import (
+    PI,
     ModelParams,
-    check_triangle_ranks,
     hc_window,
-    index_consistency,
     interior_orbit_bound,
     linearized_ranks,
     model_chords,
@@ -55,6 +58,48 @@ def test_interior_orbit_bound():
     assert interior_orbit_bound(math.pi, 1) == 1
     assert interior_orbit_bound(0.001, 0.001) == 0
     assert interior_orbit_bound(10, 3.0) == 9
+
+
+def test_pi_constant_has_100_correct_digits():
+    with mpmath.workdps(110):
+        assert abs(mpmath.mpf(PI.numerator) / PI.denominator - mpmath.pi) < mpmath.mpf(10) ** -100
+
+
+def test_interior_orbit_bound_refuses_non_finite_input():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            interior_orbit_bound(bad, 1.0)
+        with pytest.raises(ValueError):
+            interior_orbit_bound(1.0, bad)
+    assert threshold_parameter(10, 1e-320) == math.inf
+
+
+# oracle: the mpmath code (pi at 60 digits) this module used to run; a*rho/pi
+# stays below 10**40, where 60 digits fix the floor
+positive = st.floats(min_value=1e-6, max_value=1e12)
+factor = st.sampled_from([1.0, 1 + 1e-9, 1 - 1e-9, 1 + 2e-9, 1 - 2e-9, 1 + 1e-10, 1 - 1e-8])
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive, st.floats(min_value=1e-6, max_value=1e6))
+def test_interior_orbit_bound_matches_mpmath(a, rho):
+    assert interior_orbit_bound(a, rho) == reference_interior_orbit_bound(a, rho)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 9), st.floats(min_value=1e-3, max_value=1e3),
+       factor)
+def test_interior_orbit_bound_snap_band_matches_mpmath(n, rho, scale):
+    # a puts a*rho/pi on, just inside or just outside the 1e-9 band around n
+    a = n * math.pi / rho * scale
+    assert interior_orbit_bound(a, rho) == reference_interior_orbit_bound(a, rho)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.floats(min_value=1e-300, max_value=1e300) | st.integers(min_value=1, max_value=10 ** 6))
+def test_threshold_parameter_matches_mpmath(n, rho):
+    assert threshold_parameter(n, rho) == reference_threshold_parameter(n, rho)
 
 
 def test_threshold_certifies_window():

@@ -179,6 +179,19 @@ def test_upoly_pickle_roundtrip(p):
     assert pickle.loads(pickle.dumps(UPoly([1, 2]))) == 2 * U + 1
 
 
+@pytest.mark.parametrize("m", [
+    ExactMatrix(RING_Q, [[1, 2], [3, 4]]),
+    ExactMatrix(RING_Q, [[Fraction(-1, 3), 0, 5]]),
+    ExactMatrix(RING_QU, [[U, 1], [U ** 2 - Fraction(2, 3), 0]]),
+    ExactMatrix(RING_Q, []),
+    ExactMatrix(RING_QU, []),
+])
+def test_exact_matrix_pickle_roundtrip(m):
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and back.rows == m.rows
+    assert (back.ring, back.nrows, back.ncols) == (m.ring, m.nrows, m.ncols)
+
+
 def test_rank_and_evaluate():
     m = ExactMatrix(RING_QU, [[U, 1], [U ** 2, U]])
     assert rank(m) == 1

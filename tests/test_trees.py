@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from helpers import random_forest, seeded_rng
+from helpers import exterior_orbit_multiset, random_forest, seeded_rng
 from sftkit.errors import (
     LabelMismatch,
     TooLarge,
@@ -106,13 +106,13 @@ def test_contraction_invariance_random():
         value = intersection_number(forest)
         full = psi_full(forest)
         reduced = psi_reduced(forest)
-        exterior = forest.exterior_orbit_multiset()
+        exterior = exterior_orbit_multiset(forest)
         for eid in [e.eid for e in forest.interior_edges()]:
             contracted = contract_edge(forest, eid)
             assert intersection_number(contracted) == value
             assert psi_full(contracted) == full
             assert psi_reduced(contracted) == reduced
-            assert contracted.exterior_orbit_multiset() == exterior
+            assert exterior_orbit_multiset(contracted) == exterior
         # contracting everything collapses each component to one vertex
         collapsed = forest
         while collapsed.interior_edges():
