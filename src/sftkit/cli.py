@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -229,9 +230,9 @@ def _cmd_dga(args) -> int:
             return EXIT_OK
     if args.homology is not None and args.linearize is None:
         lo, hi = _parse_window(args.homology)
-        # enumerate one degree above the window so top-degree classes are
-        # tested against incoming boundaries
-        cx = dga_mod.word_complex(algebra, lo, hi + 1)
+        # enumerate one degree below and one above the window, so that both
+        # d_lo and d_{hi+1} are stored
+        cx = dga_mod.word_complex(algebra, max(lo - 1, 0), hi + 1)
         _emit_homology(args, dga_mod.homology(cx, lo, hi), lo, hi)
         did_something = True
     if not did_something:
@@ -365,7 +366,13 @@ def _cmd_model(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors are parse failures (exit 1), not domain errors."""
+    """Argument errors are parse failures (exit 1), not domain errors.  A
+    word such as -1/2, -1e100 or -.5e-3 is a negative value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)$")
 
     def error(self, message):
         raise ValueError(message)

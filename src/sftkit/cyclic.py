@@ -23,7 +23,6 @@ are refused with ``TooLarge`` before anything is enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
@@ -46,18 +45,6 @@ from .dga import (
     word_basis,
 )
 from .errors import InfiniteBasis, TooLarge
-
-
-@dataclass(frozen=True)
-class CyclicWord:
-    """A nonzero rotation class, stored through its canonical representative."""
-
-    word: Word
-    degree: int
-    link: Optional[int]
-
-    def __str__(self):
-        return "[" + "*".join(self.word) + "]"
 
 
 def _least_rotation(word: Word) -> Tuple[int, int]:
@@ -88,15 +75,15 @@ def _least_rotation(word: Word) -> Tuple[int, int]:
 
 
 def rotation_class(dga: DGA, word: Word) -> Optional[Tuple[Word, int]]:
-    """Canonical representative of the rotation class of ``word`` and the
-    sign relating the word to it; None for classes that vanish."""
+    """Least rotation of a nonempty word of an associative algebra and the
+    sign relating the word to it; None for classes that vanish, including
+    words that do not close up cyclically.  Commutative algebras have no
+    rotations to take (every normalized word is its own class) and raise
+    ValueError."""
     if not word:
         raise ValueError("cyclic words are nonempty")
     if dga.mode != MODE_ASSOCIATIVE:
-        normal, coeff = dga.normalize_word(word)
-        if not coeff:
-            return None
-        return normal, (1 if coeff == 1 else -1)
+        raise ValueError("rotation classes are taken in associative algebras")
     gens = [dga.generators[name] for name in word]
     if len(gens) > 1:
         for left, right in zip(gens[-1:] + gens[:-1], gens):
@@ -109,15 +96,6 @@ def rotation_class(dga: DGA, word: Word) -> Optional[Tuple[Word, int]]:
         return None
     head = sum(g.degree for g in gens[:start])
     return word[start:] + word[:start], (-1 if head * (total - head) % 2 else 1)
-
-
-def project_word(dga: DGA, word: Word, coeff) -> Optional[Tuple[Word, Coeff]]:
-    """Project a free-algebra word into the coinvariants."""
-    cls = rotation_class(dga, word)
-    if cls is None:
-        return None
-    canonical, sign = cls
-    return canonical, coeff * sign
 
 
 def _refuse_oversized(degree: int, bound: int):
@@ -190,8 +168,8 @@ def _necklaces(letters: List[tuple], degree: int, link: int, reach: List[set]) -
     return out
 
 
-def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict[int, Tuple[CyclicWord, ...]]:
-    """Canonical representatives of the nonzero classes, per degree in [lo, hi].
+def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict[int, Tuple[Word, ...]]:
+    """Canonical words of the nonzero classes, per degree in [lo, hi].
 
     Raises TooLarge, before enumerating any degree, when some degree's
     predicted class count exceeds BASIS_LIMIT or, in associative
@@ -202,7 +180,7 @@ def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict
     letters = _letters(dga, link)
     target = 0 if link is None else link
     degrees = range(max(lo, 1), hi + 1)
-    out: Dict[int, Tuple[CyclicWord, ...]] = {k: () for k in range(lo, hi + 1)}
+    out: Dict[int, Tuple[Word, ...]] = {k: () for k in range(lo, hi + 1)}
     if dga.mode == MODE_ASSOCIATIVE:
         refuse_long_words(dga, hi)
         # rows are built in increasing degree, so an oversized window stops
@@ -214,33 +192,37 @@ def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict
                 _refuse_oversized(k, _class_bound(table, k, target))
         reach = [{0}] + [{s for s, _ in row} for row in table[1:]]
         for k in degrees:
-            out[k] = tuple(CyclicWord(w, k, dga.link_of_word(w))
-                           for w in _necklaces(letters, k, target, reach))
+            out[k] = tuple(_necklaces(letters, k, target, reach))
         return out
     counts = _normal_words(dga, letters, max(hi, 0))
     for k in degrees:
         _refuse_oversized(k, counts[k].get(target, 0))
     for k in degrees:
-        out[k] = tuple(CyclicWord(w, k, dga.link_of_word(w)) for w in word_basis(dga, k)
+        out[k] = tuple(w for w in word_basis(dga, k)
                        if link is None or dga.link_of_word(w) == link)
     return out
 
 
-def cyclic_differential(dga: DGA, cw: CyclicWord) -> Dict[Word, Coeff]:
-    """Differential of a class: differentiate the representative, project."""
-    image = dga.apply_differential(AlgebraElement(dga.ring, {cw.word: 1}))
+def cyclic_differential(dga: DGA, word: Word) -> Dict[Word, Coeff]:
+    """Differential of the class of a canonical word: differentiate the word
+    and drop its constant term, which dies in the quotient by the ground
+    ring.  Associative terms are then carried to their least rotations; the
+    commutative ones are normalized words already, each its own class."""
+    image = dga.apply_differential(AlgebraElement(dga.ring, {word: 1})).terms
+    image.pop((), None)
+    if dga.mode != MODE_ASSOCIATIVE:
+        return image
     acc: Dict[Word, Coeff] = {}
-    for word, coeff in image.terms.items():
-        if not word:
-            continue  # constants die in the quotient by the ground ring
-        projected = project_word(dga, word, coeff)
-        if projected is None:
+    for term, coeff in image.items():
+        cls = rotation_class(dga, term)
+        if cls is None:
             continue
-        canonical, value = projected
+        canonical, sign = cls
+        value = coeff * sign
         total = acc[canonical] + value if canonical in acc else value
         if total:
             acc[canonical] = total
-        elif canonical in acc:
+        else:
             del acc[canonical]
     return acc
 
@@ -248,12 +230,11 @@ def cyclic_differential(dga: DGA, cw: CyclicWord) -> Dict[Word, Coeff]:
 def cyclic_complex(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> ChainComplex:
     """Coinvariant complex on [lo-1, hi+1], ready for homology in [lo, hi]."""
     span_lo = max(lo - 1, 0)
-    classes = cyclic_basis(dga, span_lo, hi + 1, link=link)
-    basis = {k: tuple(cw.word for cw in words) for k, words in classes.items()}
+    basis = cyclic_basis(dga, span_lo, hi + 1, link=link)
     image = partial(cyclic_differential, dga)
     boundary = {}
     for k in range(span_lo + 1, hi + 2):
-        mat = assemble_boundary(dga.ring, basis[k - 1], classes[k], image)
+        mat = assemble_boundary(dga.ring, basis[k - 1], basis[k], image)
         if mat is not None:
             boundary[k] = mat
     return ChainComplex(dga.ring, basis, boundary)

@@ -155,9 +155,6 @@ class DGA:
 
     # basic structure -------------------------------------------------------
 
-    def generator(self, name: str) -> Generator:
-        return self.generators[name]
-
     def degree_of_word(self, word: Word) -> int:
         return sum(self.generators[g].degree for g in word)
 
@@ -605,26 +602,26 @@ def word_basis(dga: DGA, degree: int) -> Tuple[Word, ...]:
         rec(0, degree, [])
         return tuple(sorted(out))
 
-    def rec_assoc(remaining: int, acc: List[str]):
+    letters = _letters(dga, None)
+
+    def rec_assoc(remaining: int, acc: List[str], last):
         if remaining == 0:
             out.append(tuple(acc))
             return
-        for g in gens:
-            if g.degree > remaining:
-                continue
-            if acc and g.is_chord:
-                prev = dga.generators[acc[-1]]
-                if prev.is_chord and prev.kind[1] != g.kind[2]:
-                    continue
-            rec_assoc(remaining - g.degree, acc + [g.name])
+        for name, deg, _, src, tgt in letters:
+            if deg <= remaining and _composable(last, tgt):
+                rec_assoc(remaining - deg, acc + [name], src)
 
-    rec_assoc(degree, [])
+    rec_assoc(degree, [], None)
     return tuple(sorted(out))
 
 
 def word_complex(dga: DGA, lo: int, hi: int) -> ChainComplex:
     """The full algebra as a complex of free modules on word bases in [lo, hi].
 
+    The complex is truncated below ``lo`` and above ``hi``: d_lo is not
+    stored, so homology on [lo, hi] is read from the complex on
+    [max(lo - 1, 0), hi + 1].
     Raises TooLarge, before enumerating any degree, when some degree has more
     than BASIS_LIMIT words or, in associative mode, when words of degree
     ``hi`` may exceed WORD_LENGTH_LIMIT letters.

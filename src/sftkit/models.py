@@ -186,12 +186,11 @@ def sigma_sets(n: int, N: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return sigma1, sigma2
 
 
-def linearized_ranks(n: int, N: int, cross_check: bool = True) -> Dict[int, int]:
+def linearized_ranks(n: int, N: int) -> Dict[int, int]:
     """Rank table keyed by index k < N: 2 on both families, 1 on one, else 0.
 
-    When cross_check is set, the table is recomputed as the homology of the
-    zero-differential complex on the model orbit table and the two answers
-    are required to agree.
+    The table is recomputed as the homology of the zero-differential complex
+    on the model orbit table, and the two answers are required to agree.
     """
     if n < 4:
         raise ValueError("the model requires n >= 4")
@@ -202,23 +201,22 @@ def linearized_ranks(n: int, N: int, cross_check: bool = True) -> Dict[int, int]
     for k in sigma2:
         table[k] += 1
 
-    if cross_check:
-        params = ModelParams(n=n, a=threshold_parameter(N, math.pi) + 1.0, N=N, rho=math.pi)
-        rows = model_orbits(params)
-        obstruction = parity_obstruction(n, rows)
-        if not obstruction.passed:
-            raise AssertionError("congruence obstruction unexpectedly failed")
-        algebra = dga_mod.DGA(RING_Q, dga_mod.MODE_COMMUTATIVE,
-                              [r.generator for r in rows])
-        aug = dga_mod.augment(algebra)
-        complex_ = dga_mod.linearize(algebra, aug)
-        shift = n - 3
-        summary = dga_mod.homology(complex_, 1 + shift, N - 1 + shift)
-        computed = {k: summary[k + shift].free_rank for k in range(1, N)}
-        if computed != table:
-            raise AssertionError(
-                f"rank table mismatch: formula {table} vs homology {computed}"
-            )
+    params = ModelParams(n=n, a=threshold_parameter(N, math.pi) + 1.0, N=N, rho=math.pi)
+    rows = model_orbits(params)
+    obstruction = parity_obstruction(n, rows)
+    if not obstruction.passed:
+        raise AssertionError("congruence obstruction unexpectedly failed")
+    algebra = dga_mod.DGA(RING_Q, dga_mod.MODE_COMMUTATIVE,
+                          [r.generator for r in rows])
+    aug = dga_mod.augment(algebra)
+    complex_ = dga_mod.linearize(algebra, aug)
+    shift = n - 3
+    summary = dga_mod.homology(complex_, 1 + shift, N - 1 + shift)
+    computed = {k: summary[k + shift].free_rank for k in range(1, N)}
+    if computed != table:
+        raise AssertionError(
+            f"rank table mismatch: formula {table} vs homology {computed}"
+        )
     return table
 
 
@@ -258,22 +256,4 @@ def surgery_cone_ranks(k: int, n: int, window_top: int) -> Dict[int, int]:
     out = {}
     for degree in range(0, window_top + 1):
         out[degree] = 1 if degree >= n - k and (degree - (n - k)) % 2 == 0 else 0
-    return out
-
-
-def triangle_third_bounds(
-    a: Dict[int, int], b: Dict[int, int], degrees
-) -> Dict[int, Tuple[int, int]]:
-    """Exactness bounds on the third term of a triangle A -> B -> C -> A[-1].
-
-    dim C_k = rk(B_k -> C_k) + rk(C_k -> A_{k-1}) gives
-    max(B_k - A_k, 0) + max(A_{k-1} - B_{k-1}, 0) <= C_k <= B_k + A_{k-1}.
-    """
-    out = {}
-    for k in degrees:
-        ak, bk = a.get(k, 0), b.get(k, 0)
-        ak1, bk1 = a.get(k - 1, 0), b.get(k - 1, 0)
-        lo = max(bk - ak, 0) + max(ak1 - bk1, 0)
-        hi = bk + ak1
-        out[k] = (lo, hi)
     return out

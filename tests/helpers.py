@@ -1,10 +1,12 @@
 """Shared test utilities: seeded RNG, random decorated forests, and
 reference implementations kept as oracles for the fast paths.
 
-The reference cyclic path (``_rotations``, ``rotation_class``, ``cyclic_basis``)
-is the original rotate-and-normalize implementation: every word of a degree
-is listed and canonicalized by walking its rotation orbit.  It is kept here,
-unchanged, as the oracle for the necklace generator in ``sftkit.cyclic``.
+The reference cyclic path (``_rotations``, ``rotation_class``, ``project_word``,
+``cyclic_basis``) is the original rotate-and-normalize implementation: every
+word of a degree is listed and canonicalized by walking its rotation orbit.
+It is kept here as the oracle for the necklace generator in ``sftkit.cyclic``
+and, since it takes raw words in both modes, for the commutative cyclic
+differential, which sftkit reads off the word differential directly.
 
 ``dense_rank_q`` (dense Gauss-Jordan over Fractions) and ``reference_homology``
 (kernel coordinates from the Smith form of the outgoing boundary, then a
@@ -21,8 +23,8 @@ fraction-free elimination over Q(U)), ``evaluate`` (U := s) and
 ``boundary_matrix`` (a stored boundary or the zero matrix) are matrix
 operations that only the tests use; so are ``multiply`` and ``scaled``
 (algebra elements), ``exterior_orbit_multiset`` (forests), ``path_index``
-(index by path family), ``check_triangle_ranks`` and ``index_consistency``
-(model tables).
+(index by path family), ``triangle_third_bounds``, ``check_triangle_ranks``
+and ``index_consistency`` (model tables).
 
 ``reference_exp_scaled_compare``, ``reference_interior_orbit_bound`` and
 ``reference_threshold_parameter`` are the original mpmath implementations
@@ -43,13 +45,12 @@ from typing import Dict, List, Optional, Tuple
 
 import mpmath
 
-from sftkit.cyclic import CyclicWord
 from sftkit.czindex import PathSpec, cz_crossing, rs_shear
 from sftkit.dga import (DGA, AlgebraElement, ChainComplex, Coeff, HomologySummary, Word,
                         word_basis)
 from sftkit.energy import EQUALITY_TOLERANCE
 from sftkit.errors import InfiniteBasis, NonComposable, UnresolvedComparison
-from sftkit.models import FAMILY_ORBIT_A, FAMILY_ORBIT_B, GeneratorTable, triangle_third_bounds
+from sftkit.models import FAMILY_ORBIT_A, FAMILY_ORBIT_B, GeneratorTable
 from sftkit.ring import (RING_Q, ExactMatrix, SmithResult, UPoly, _as_poly, _rank_q, coerce, one,
                          smith_normal_form, zero)
 from sftkit.trees import DecoratedForest, Edge, OrbitLabel, Vertex
@@ -181,13 +182,13 @@ def project_word(dga: DGA, word: Word, coeff) -> Optional[Tuple[Word, Coeff]]:
     return canonical, coeff * sign
 
 
-def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict[int, Tuple[CyclicWord, ...]]:
-    """Canonical representatives of the nonzero classes, per degree in [lo, hi]."""
+def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict[int, Tuple[Word, ...]]:
+    """Canonical words of the nonzero classes, per degree in [lo, hi]."""
     if any(g.degree <= 0 for g in dga.generators.values()):
         raise InfiniteBasis("cyclic bases need strictly positive generator degrees")
-    out: Dict[int, Tuple[CyclicWord, ...]] = {}
+    out: Dict[int, Tuple[Word, ...]] = {}
     for k in range(lo, hi + 1):
-        reps = {}
+        reps = set()
         if k >= 1:
             for word in word_basis(dga, k):
                 if not word:
@@ -197,10 +198,8 @@ def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict
                 cls = rotation_class(dga, word)
                 if cls is None:
                     continue
-                canonical, _ = cls
-                if canonical not in reps:
-                    reps[canonical] = CyclicWord(canonical, k, dga.link_of_word(canonical))
-        out[k] = tuple(reps[w] for w in sorted(reps))
+                reps.add(cls[0])
+        out[k] = tuple(sorted(reps))
     return out
 
 
@@ -540,6 +539,24 @@ def path_index(path: PathSpec, subdivisions: int = 256):
             raise ValueError("shear paths need a block count")
         return rs_shear(path.blocks, path.loop_k)
     return cz_crossing(path, subdivisions=subdivisions)
+
+
+def triangle_third_bounds(
+    a: Dict[int, int], b: Dict[int, int], degrees
+) -> Dict[int, Tuple[int, int]]:
+    """Exactness bounds on the third term of a triangle A -> B -> C -> A[-1].
+
+    dim C_k = rk(B_k -> C_k) + rk(C_k -> A_{k-1}) gives
+    max(B_k - A_k, 0) + max(A_{k-1} - B_{k-1}, 0) <= C_k <= B_k + A_{k-1}.
+    """
+    out = {}
+    for k in degrees:
+        ak, bk = a.get(k, 0), b.get(k, 0)
+        ak1, bk1 = a.get(k - 1, 0), b.get(k - 1, 0)
+        lo = max(bk - ak, 0) + max(ak1 - bk1, 0)
+        hi = bk + ak1
+        out[k] = (lo, hi)
+    return out
 
 
 def check_triangle_ranks(

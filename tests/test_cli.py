@@ -188,6 +188,48 @@ def test_dga_largest_homology_window_under_the_limit(capsys):
     assert {int(k): r["free"] for k, r in ranks.items()} == {k: int(k == 0) for k in range(16)}
 
 
+WINDOW_DOCS = ("acyclic_unit", "broken", "exact_pair", "koszul_q", "legendrian_q", "orbit_qu")
+
+
+@pytest.mark.parametrize("doc", WINDOW_DOCS)
+def test_dga_homology_window_is_a_slice_of_the_window_from_zero(capsys, doc):
+    # d_LO must be stored however high the window starts, or H_LO reads too big
+    path = str(DATA / f"{doc}.json")
+    full_code, full_out, _ = run_cli(capsys, "--format", "machine", "dga", path,
+                                     "--homology", "0..7")
+    full = machine_payload(full_out)["ranks"] if full_code == 0 else None
+    for lo in (1, 2, 3):
+        code, out, _ = run_cli(capsys, "--format", "machine", "dga", path,
+                               "--homology", f"{lo}..7")
+        assert code == full_code
+        if code == 0:
+            want = {str(k): full[str(k)] for k in range(lo, 8)}
+            assert machine_payload(out) == {"op": "homology", "ranks": want}, lo
+        else:
+            assert out == full_out == ""
+
+
+NEGATIVE_VALUES = ("-1/2", "-1e100", "-.5e-3", "-2.5", "-7", "-1.5E+2")
+
+
+@pytest.mark.parametrize("value", NEGATIVE_VALUES)
+def test_negative_values_parse_as_separate_arguments(capsys, value):
+    forest = str(DATA / "forest_two_level.json")
+    for argv in (["energy", "--r-plus", "1", "--r-minus", "1"],
+                 ["trees", "psi-mixed", forest, "--r-plus", "10", "--r-minus", "1",
+                  "--r-min", "1"]):
+        joined = run_cli(capsys, "--format", "machine", *argv, f"--energy={value}")
+        separated = run_cli(capsys, "--format", "machine", *argv, "--energy", value)
+        assert joined[0] == 0
+        assert separated == joined, (argv[0], value)
+
+
+def test_option_like_energy_is_still_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "energy", "--r-plus", "1", "--energy", "-x")
+    assert code == 1 and out == ""
+    assert "expected one argument" in err
+
+
 # d(a) = b + c with |a| = 2, |b| = 1, |c| = 3: the c term is not of degree 1.
 OFF_DEGREE = {
     "ring": "Q", "mode": "associative",
@@ -198,7 +240,7 @@ OFF_DEGREE = {
 
 @pytest.mark.parametrize("argv, message", [
     (["dga", "--homology", "0..3"], "d(a) has the term c outside the next degree down"),
-    (["cyclic", "--window", "0..3"], "d([a]) has the term c outside the next degree down"),
+    (["cyclic", "--window", "0..3"], "d(a) has the term c outside the next degree down"),
     (["dga", "--linearize", "zero", "--homology", "0..3"],
      "d(a) has the term c outside the next degree down"),
     (["dga", "--bidegree"], "d(a) has a term of degree 3, wanted 1"),

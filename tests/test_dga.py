@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import helpers
 from helpers import evaluate, multiply, reference_homology, scaled, seeded_rng
 from sftkit.cyclic import cyclic_complex
 from sftkit.dga import (
@@ -334,13 +335,13 @@ def test_homology_matches_reference_over_qu(seed):
 
 
 @st.composite
-def closed_exact_algebras(draw):
-    """Associative Q-algebras with d^2 = 0: closed generators c_i (d c_i = 0)
-    and generators e_j whose differential is a random combination of words
-    in the c_i, the empty word included."""
+def closed_exact_algebras(draw, mode="associative"):
+    """Q-algebras of the given mode with d^2 = 0: closed generators c_i
+    (d c_i = 0) and generators e_j whose differential is a random combination
+    of words in the c_i, the empty word included."""
     closed = [Generator(f"c{i}", draw(st.integers(1, 3)))
               for i in range(draw(st.integers(1, 3)))]
-    words = DGA(RING_Q, "associative", closed)
+    words = DGA(RING_Q, mode, closed)
     gens, diff = list(closed), {}
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     for j in range(draw(st.integers(1, 3))):
@@ -348,7 +349,7 @@ def closed_exact_algebras(draw):
         gens.append(Generator(f"e{j}", deg))
         terms = {w: draw(coeff) for w in word_basis(words, deg - 1) if draw(st.booleans())}
         diff[f"e{j}"] = AlgebraElement(RING_Q, terms)
-    return DGA(RING_Q, "associative", gens, diff)
+    return DGA(RING_Q, mode, gens, diff)
 
 
 @settings(deadline=None, max_examples=40)
@@ -362,6 +363,30 @@ def test_homology_matches_reference_over_q(algebra, hi):
         assume(False)
     for cx in complexes:
         assert homology(cx, 0, hi) == reference_homology(cx, 0, hi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(closed_exact_algebras("commutative"), st.integers(1, 6))
+def test_commutative_cyclic_boundaries_match_reference_projection(algebra, hi):
+    # Each term of the word differential, constants dropped, is carried to
+    # its class by the reference rotate-and-normalize projection.
+    try:
+        cx = cyclic_complex(algebra, 0, hi)
+    except TooLarge:
+        assume(False)
+    basis = helpers.cyclic_basis(algebra, 0, hi + 1)
+    assert cx.basis == basis
+    for k in range(1, hi + 2):
+        index = {w: i for i, w in enumerate(basis[k - 1])}
+        want = [[Fraction(0)] * len(basis[k]) for _ in basis[k - 1]]
+        for j, col in enumerate(basis[k]):
+            image = algebra.apply_differential(AlgebraElement(RING_Q, {col: 1}))
+            for word, coeff in image.terms.items():
+                projected = helpers.project_word(algebra, word, coeff) if word else None
+                if projected is not None:
+                    want[index[projected[0]]][j] += projected[1]
+        got = [list(row) for row in cx.boundary[k].rows] if k in cx.boundary else None
+        assert got == want or (got is None and not any(map(any, want)))
 
 
 def test_homology_refuses_nonzero_d_squared():

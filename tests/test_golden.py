@@ -24,6 +24,7 @@ DOCS = ("acyclic_unit", "broken", "exact_pair", "legendrian_q", "orbit_qu")
 # DOCS because its deeper cyclic windows are slow
 TORSION = "tests/data/torsion_qu.json"
 FOREST = "tests/data/forest_two_level.json"
+KOSZUL = "tests/data/koszul_q.json"
 
 
 def commands():
@@ -112,6 +113,15 @@ def commands():
         ["bound", "--a", "inf"],
         ["bound", "--a", "nan"],
     )]
+    # d z = x*y + y*x vanishes only through the sign of swapping two odd letters
+    out += [
+        ["dga", KOSZUL, "--homology", "0..6"],
+        ["dga", KOSZUL, "--linearize", "zero", "--homology", "0..6"],
+        ["cyclic", KOSZUL, "--window", "0..8"],
+    ]
+    # windows that start above degree 0 read d_LO from the degree below
+    out += [["dga", path, "--homology", "2..8"]
+            for path in [f"tests/data/{doc}.json" for doc in DOCS] + [KOSZUL]]
     return [["--format", "machine", *argv] for argv in out]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (check_triangle_ranks, index_consistency, reference_interior_orbit_bound,
-                     reference_threshold_parameter)
+                     reference_threshold_parameter, triangle_third_bounds)
 from sftkit.czindex import rs_shear
 from sftkit.errors import OddDimension, OutOfRange, WindowNotGuaranteed
 from sftkit.models import (
@@ -20,7 +20,6 @@ from sftkit.models import (
     sigma_sets,
     surgery_cone_ranks,
     threshold_parameter,
-    triangle_third_bounds,
 )
 
 
