@@ -46,8 +46,15 @@ def _load_json(path: str) -> dict:
 
 
 def _parse_window(text: str):
-    lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    """LO..HI as (lo, hi); ValueError unless both are integers and LO <= HI."""
+    lo, sep, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        sep = ""
+    if not sep or lo > hi:
+        raise ValueError(f"window {text!r} is not LO..HI with integers LO <= HI")
+    return lo, hi
 
 
 # cz -------------------------------------------------------------------------

@@ -89,12 +89,18 @@ def rotation_class(dga: DGA, word: Word) -> Optional[Tuple[Word, int]]:
         for left, right in zip(gens[-1:] + gens[:-1], gens):
             if left.is_chord and right.is_chord and left.kind[1] != right.kind[2]:
                 return None  # the word does not close up cyclically
+    return _rotate(word, [g.degree for g in gens])
+
+
+def _rotate(word: Word, degrees: List[int]) -> Optional[Tuple[Word, int]]:
+    """``rotation_class`` of a word that closes up cyclically, given the
+    degrees of its letters."""
     start, period = _least_rotation(word)
-    total = sum(g.degree for g in gens)
-    root = sum(g.degree for g in gens[:period])
+    total = sum(degrees)
+    root = sum(degrees[:period])
     if root * (total - root) % 2:
         return None
-    head = sum(g.degree for g in gens[:start])
+    head = sum(degrees[:start])
     return word[start:] + word[:start], (-1 if head * (total - head) % 2 else 1)
 
 
@@ -207,18 +213,30 @@ def cyclic_differential(dga: DGA, word: Word) -> Dict[Word, Coeff]:
     """Differential of the class of a canonical word: differentiate the word
     and drop its constant term, which dies in the quotient by the ground
     ring.  Associative terms are then carried to their least rotations; the
-    commutative ones are normalized words already, each its own class."""
-    image = dga.apply_differential(AlgebraElement(dga.ring, {word: 1})).terms
-    image.pop((), None)
+    commutative ones are normalized words already, each its own class.
+
+    Every associative term that ``DGA._leibniz`` yields composes, so only
+    its wrap seam, from its last letter to its first, can keep it from
+    closing up cyclically.
+    """
     if dga.mode != MODE_ASSOCIATIVE:
+        image = dga.apply_differential(AlgebraElement(dga.ring, {word: 1})).terms
+        image.pop((), None)
         return image
+    raw: Dict[Word, Coeff] = {}
+    for term, coeff in dga._leibniz(word):
+        raw[term] = raw[term] + coeff if term in raw else coeff
+    raw.pop((), None)
+    table = dga._leibniz_table
     acc: Dict[Word, Coeff] = {}
-    for term, coeff in image.items():
-        cls = rotation_class(dga, term)
+    for term, coeff in raw.items():
+        if not coeff or len(term) > 1 and not _composable(table[term[-1]][1], table[term[0]][2]):
+            continue
+        cls = _rotate(term, [table[name][0] for name in term])
         if cls is None:
             continue
         canonical, sign = cls
-        value = coeff * sign
+        value = coeff if sign > 0 else -coeff
         total = acc[canonical] + value if canonical in acc else value
         if total:
             acc[canonical] = total

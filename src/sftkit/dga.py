@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .errors import (BidegreeViolation, DSquareNonzero, InfiniteBasis, NonComposable,
                      NotAChainMap, TooLarge)
@@ -152,6 +153,18 @@ class DGA:
                 raise ValueError(f"differential on unknown generator {name!r}")
             diff[name] = self.normalize_element(elem)
         self.differential = diff
+        # name -> (degree, source, target, d-terms) for the Leibniz rule: the
+        # endpoints of chords in associative mode (None otherwise, which
+        # composes with anything), and each term of d(name) as (word, coeff,
+        # target of its first letter, source of its last letter)
+        ends = {n: g.kind[1:] if g.is_chord and mode == MODE_ASSOCIATIVE else (None, None)
+                for n, g in table.items()}
+        self._leibniz_table = {
+            n: (g.degree, *ends[n], tuple(
+                (w, c, ends[w[0]][1], ends[w[-1]][0]) if w else (w, c, None, None)
+                for w, c in (diff[n].terms.items() if n in diff else ())))
+            for n, g in table.items()
+        }
 
     # basic structure -------------------------------------------------------
 
@@ -233,23 +246,49 @@ class DGA:
     def d_of_generator(self, name: str) -> AlgebraElement:
         return self.differential.get(name, self.zero())
 
+    def _leibniz(self, word: Word) -> Iterator[Tuple[Word, Coeff]]:
+        """The terms of d(word) by the Leibniz rule, one per letter of
+        ``word`` and term of that letter's differential: the raw word (not
+        normalized, equal words not combined) and its coefficient.
+
+        In associative mode the words of the differential compose (they were
+        normalized), so a term composes when both seams around its
+        substituted word do and every junction of ``word`` that does not
+        compose touches the substituted letter.  Any other term is checked
+        whole, so NonComposable is raised on exactly the terms that do not
+        compose.
+        """
+        table = self._leibniz_table
+        try:
+            info = [table[g] for g in word]
+        except KeyError as exc:
+            raise KeyError(f"unknown generator {exc.args[0]!r}") from None
+        last = len(word) - 1
+        bad = [j for j in range(last) if not _composable(info[j][1], info[j + 1][2])]
+        odd = 0
+        for i, (degree, _, _, dterms) in enumerate(info):
+            if dterms:
+                left = info[i - 1][1] if i else None
+                right = info[i + 1][2] if i < last else None
+                whole = not bad or all(i - 1 <= j <= i for j in bad)
+                prefix, suffix = word[:i], word[i + 1:]
+                for dword, dcoeff, first, end in dterms:
+                    term = prefix + dword + suffix
+                    if not (whole and (_composable(left, first) and _composable(end, right)
+                                       if dword else _composable(left, right))):
+                        self._check_composable(term)
+                    yield term, -dcoeff if odd else dcoeff
+            odd ^= degree & 1
+
     def apply_differential(self, elem: AlgebraElement) -> AlgebraElement:
         """Derivation extension: d(xy) = (dx)y + (-1)^|x| x(dy)."""
         acc: Dict[Word, Coeff] = {}
         for word, coeff in elem.terms.items():
-            sign = 1
-            for i, letter in enumerate(word):
-                dg = self.differential.get(letter)
-                if dg is not None and dg.terms:
-                    prefix, suffix = word[:i], word[i + 1:]
-                    for dword, dcoeff in dg.terms.items():
-                        nw, nc = self.normalize_word(
-                            prefix + dword + suffix, coeff * dcoeff * sign
-                        )
-                        if nc:
-                            acc[nw] = acc[nw] + nc if nw in acc else nc
-                if self.generators[letter].parity:
-                    sign = -sign
+            for term, c in self._leibniz(word):
+                nw, nc = ((term, coeff * c) if self.mode == MODE_ASSOCIATIVE
+                          else self.normalize_word(term, coeff * c))
+                if nc:
+                    acc[nw] = acc[nw] + nc if nw in acc else nc
         return AlgebraElement(self.ring, acc)
 
     def check_d_squared(self) -> List[Tuple[str, AlgebraElement]]:
@@ -382,8 +421,8 @@ def _check_square_zero(cx: ChainComplex, degrees: Iterable[int]) -> None:
         if k not in sparse:
             sparse[k] = [
                 {j: x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
-                 for j, x in enumerate(row) if x}
-                for row in cx.boundary[k].rows
+                 for j, x in row.items()}
+                for row in cx.boundary[k].entries
             ]
         return sparse[k]
 
@@ -406,8 +445,9 @@ def _text(x) -> str:
 
 def assemble_boundary(ring: str, rows: Sequence, cols: Sequence, image) -> Optional[ExactMatrix]:
     """Matrix of a differential from the span of ``cols`` to the span of
-    ``rows``, where ``image(col)`` gives {row element: coeff}; None when every
-    entry is zero.  This is the only builder of boundary matrices.
+    ``rows``, where ``image(col)`` gives {row element: coeff} with coeffs
+    already in ``ring`` (they are stored as they are, sparse); None when
+    every entry is zero.  This is the only builder of boundary matrices.
 
     A term outside ``rows`` leaves the next degree down (or the requested
     link) and raises BidegreeViolation, however the basis was enumerated.
@@ -415,7 +455,7 @@ def assemble_boundary(ring: str, rows: Sequence, cols: Sequence, image) -> Optio
     if not cols:
         return None
     index = {w: i for i, w in enumerate(rows)}
-    entries = {}
+    entries: List[Dict[int, Coeff]] = [{} for _ in rows]
     for j, col in enumerate(cols):
         for target, coeff in image(col).items():
             i = index.get(target)
@@ -424,14 +464,10 @@ def assemble_boundary(ring: str, rows: Sequence, cols: Sequence, image) -> Optio
                     f"d({_text(col)}) has the term {_text(target)} outside the next degree down"
                 )
             if coeff:
-                entries[i, j] = coeff
-    if not entries:
+                entries[i][j] = coeff
+    if not any(entries):
         return None
-    z = zero(ring)
-    mat = [[z] * len(cols) for _ in rows]
-    for (i, j), coeff in entries.items():
-        mat[i][j] = coeff
-    return ExactMatrix(ring, mat)
+    return ExactMatrix._from_entries(ring, entries, len(cols))
 
 
 def linearize(dga: DGA, aug: Augmentation) -> ChainComplex:
@@ -474,9 +510,11 @@ def linearize(dga: DGA, aug: Augmentation) -> ChainComplex:
 WORD_LENGTH_LIMIT = 500
 
 # Largest number of basis elements in one degree that word_complex (words)
-# and cyclic.cyclic_basis (predicted classes) will enumerate.  Boundary
-# matrices are dense, so this caps each at 4 million cells; the exact pair's
-# cyclic window 0..19 (763 classes in degree 20) fits.
+# and cyclic.cyclic_basis (predicted classes) will enumerate.  Boundaries
+# are stored sparse, so this no longer caps dense cells; it bounds the
+# enumeration and the elimination's fill-in, which grow faster than the
+# basis.  The exact pair's cyclic window 0..19 (763 classes in degree 20)
+# fits.
 BASIS_LIMIT = 2000
 
 
@@ -744,7 +782,7 @@ def homology(cx: ChainComplex, lo: int, hi: int) -> Dict[int, HomologySummary]:
             if m is None:
                 factored[k] = (0, ())
             elif cx.ring == RING_Q:
-                factored[k] = (_rank_q(m.rows), ())
+                factored[k] = (_rank_q(m.entries), ())
             else:
                 factors = _invariant_factors(m)
                 factored[k] = (len(factors), tuple(f for f in factors if f.degree > 0))

@@ -2,9 +2,10 @@
 
 Everything here is exact.  Rationals are ``fractions.Fraction`` (arbitrary
 precision), polynomials store a tuple of rational coefficients indexed by the
-exponent of U, and matrices carry a ring tag ("Q" or "QU").  ``coerce`` is
-the one rule for what a coefficient of each ring is; matrices and algebra
-elements both use it.  No value is mutated after construction; all
+exponent of U, and matrices carry a ring tag ("Q" or "QU") and store only
+their nonzero entries.  ``coerce`` is the one rule for what a coefficient of
+each ring is; matrices built from dense rows and algebra elements both use
+it.  No value is mutated after construction; all
 operations return new values.  The rank and Smith kernels clear denominators
 and eliminate fraction-free over Z (rank) and Z[U] (Smith form, both rings).
 """
@@ -292,9 +293,13 @@ class SmithResult:
 
 
 class ExactMatrix:
-    """Immutable rectangular matrix over Q or Q[U]."""
+    """Immutable rectangular matrix over Q or Q[U].
 
-    __slots__ = ("ring", "rows", "nrows", "ncols")
+    ``entries`` holds the nonzero entries of each row as a {col: coeff}
+    dict; ``rows`` is the dense view, built on first access.
+    """
+
+    __slots__ = ("ring", "entries", "nrows", "ncols", "_rows")
 
     def __init__(self, ring: str, rows: Sequence[Sequence]):
         rows = [list(r) for r in rows]
@@ -304,14 +309,32 @@ class ExactMatrix:
                 raise ValueError("matrix rows have unequal lengths")
         else:
             width = 0
-        coerced = tuple(tuple(coerce(ring, x) for x in r) for r in rows)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", coerced)
-        object.__setattr__(self, "nrows", len(coerced))
-        object.__setattr__(self, "ncols", width)
+        coerced = [[coerce(ring, x) for x in r] for r in rows]
+        self._fill(ring, [{j: x for j, x in enumerate(r) if x} for r in coerced], width)
+
+    @classmethod
+    def _from_entries(cls, ring: str, entries: Sequence[dict], ncols: int) -> "ExactMatrix":
+        """The matrix whose rows have the nonzero entries ``entries``, taken
+        as they are: each value must already be a nonzero element of ``ring``."""
+        m = object.__new__(cls)
+        m._fill(ring, entries, ncols)
+        return m
+
+    def _fill(self, ring, entries, ncols):
+        for name, value in (("ring", ring), ("entries", tuple(entries)),
+                            ("nrows", len(entries)), ("ncols", ncols), ("_rows", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("ExactMatrix is immutable")
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            z = zero(self.ring)
+            object.__setattr__(self, "_rows", tuple(
+                tuple(line.get(j, z) for j in range(self.ncols)) for line in self.entries))
+        return self._rows
 
     def __reduce__(self):
         # rebuild through __init__, as UPoly does
@@ -319,13 +342,12 @@ class ExactMatrix:
 
     @staticmethod
     def identity(ring: str, n: int) -> "ExactMatrix":
-        e, z = one(ring), zero(ring)
-        return ExactMatrix(ring, [[e if i == j else z for j in range(n)] for i in range(n)])
+        return ExactMatrix._from_entries(ring, [{i: one(ring)} for i in range(n)], n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.ring == other.ring and self.rows == other.rows
+        return (self.ring, self.ncols, self.entries) == (other.ring, other.ncols, other.entries)
 
     def __hash__(self):
         return hash((self.ring, self.rows))
@@ -337,17 +359,14 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring != other.ring or self.ncols != other.nrows:
             raise ValueError("incompatible matrices")
-        z = zero(self.ring)
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(self.ring, out)
+        for line in self.entries:
+            acc = {}
+            for k, x in line.items():
+                for j, y in other.entries[k].items():
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+            out.append({j: v for j, v in acc.items() if v})
+        return ExactMatrix._from_entries(self.ring, out, other.ncols)
 
     def __str__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
@@ -365,19 +384,20 @@ def _primitive(vec: dict) -> dict:
 def _rank_q(rows) -> int:
     """Rank over Q by sparse, fraction-free elimination over Z (Bareiss 1968).
 
-    Each row is cleared of denominators into a primitive {col: int} dict and
-    reduced against the pivot rows met so far, keyed by leading column: with
-    g the gcd of the two leading entries p (pivot) and c (row), the row
-    becomes (p/g)*row - (c/g)*pivot.  A row that survives is divided by its
-    content and stored as the pivot of its new leading column.
+    ``rows`` are {col: Fraction} dicts of nonzero entries, as in
+    ``ExactMatrix.entries``.  Each row is cleared of denominators into a
+    primitive {col: int} dict and reduced against the pivot rows met so far,
+    keyed by leading column: with g the gcd of the two leading entries p
+    (pivot) and c (row), the row becomes (p/g)*row - (c/g)*pivot.  A row that
+    survives is divided by its content and stored as the pivot of its new
+    leading column.
     """
     pivots: dict = {}
     for row in rows:
-        entries = [(j, x) for j, x in enumerate(row) if x]
-        if not entries:
+        if not row:
             continue
-        scale = lcm(*(x.denominator for _, x in entries))
-        vec = _primitive({j: x.numerator * (scale // x.denominator) for j, x in entries})
+        scale = lcm(*(x.denominator for x in row.values()))
+        vec = _primitive({j: x.numerator * (scale // x.denominator) for j, x in row.items()})
         while vec:
             lead = min(vec)
             pivot = pivots.get(lead)
@@ -503,8 +523,8 @@ def _smith(m: ExactMatrix, transforms: bool):
     and the left and right transforms (None unless ``transforms``).
     """
     a, left = [], _Transform(m.nrows) if transforms else None
-    for i, row in enumerate(m.rows):
-        polys = [(j, (x,) if m.ring == RING_Q else x.coeffs) for j, x in enumerate(row) if x]
+    for i, row in enumerate(m.entries):
+        polys = [(j, (x,) if m.ring == RING_Q else x.coeffs) for j, x in sorted(row.items())]
         scale = lcm(*(c.denominator for _, p in polys for c in p))
         line = {j: [c.numerator * (scale // c.denominator) for c in p] for j, p in polys}
         if transforms:
@@ -612,26 +632,28 @@ def smith_normal_form(m: ExactMatrix) -> SmithResult:
     cols = [c for _, c in pivots] + sorted(set(range(m.ncols)) - {c for _, c in pivots})
     lead = {r: a[r][c][-1] for r, c in pivots}
 
-    def entries(line, n, num=1, den=1):
+    def entries(line, num=1, den=1):
         if ring == RING_Q:
-            return [Fraction(line[j][0] * num, den) if j in line else Fraction(0) for j in range(n)]
-        return [UPoly([Fraction(c * num, den) for c in line.get(j, ())]) for j in range(n)]
+            return {j: Fraction(p[0] * num, den) for j, p in line.items()}
+        return {j: UPoly([Fraction(c * num, den) for c in p]) for j, p in line.items()}
 
-    def transpose(lines):
-        return [list(t) for t in zip(*lines)]
+    def square(lines, n, transpose=False):
+        if transpose:
+            cols, lines = lines, [{} for _ in range(n)]
+            for s, col in enumerate(cols):
+                for j, x in col.items():
+                    lines[j][s] = x
+        return ExactMatrix._from_entries(ring, lines, n)
 
     factors = tuple(_monic(ring, a[r][c]) for r, c in pivots)
-    diag = [[zero(ring)] * m.ncols for _ in range(m.nrows)]
-    for s, f in enumerate(factors):
-        diag[s][s] = f
+    diag = [{s: factors[s]} if s < len(factors) else {} for s in range(m.nrows)]
     nr, nc = m.nrows, m.ncols
     return SmithResult(
         factors=factors,
-        diagonal=ExactMatrix(ring, diag),
-        left=ExactMatrix(ring, [entries(left.fwd[i], nr, 1, lead.get(i, 1)) for i in rows]),
-        right=ExactMatrix(ring, transpose(entries(right.fwd[j], nc) for j in cols)),
-        left_inverse=ExactMatrix(ring, transpose(entries(left.inv[i][0], nr, lead.get(i, 1),
-                                                         left.inv[i][1]) for i in rows)),
-        right_inverse=ExactMatrix(ring, [entries(right.inv[j][0], nc, 1, right.inv[j][1])
-                                         for j in cols]),
+        diagonal=ExactMatrix._from_entries(ring, diag, nc),
+        left=square([entries(left.fwd[i], 1, lead.get(i, 1)) for i in rows], nr),
+        right=square([entries(right.fwd[j]) for j in cols], nc, transpose=True),
+        left_inverse=square([entries(left.inv[i][0], lead.get(i, 1), left.inv[i][1])
+                             for i in rows], nr, transpose=True),
+        right_inverse=square([entries(right.inv[j][0], 1, right.inv[j][1]) for j in cols], nc),
     )

@@ -7,6 +7,10 @@ word of a degree is listed and canonicalized by walking its rotation orbit.
 It is kept here as the oracle for the necklace generator in ``sftkit.cyclic``
 and, since it takes raw words in both modes, for the commutative cyclic
 differential, which sftkit reads off the word differential directly.
+``apply_differential`` (every Leibniz term built whole and normalized),
+``cyclic_differential`` and ``cyclic_boundaries`` are the raw-word oracles
+for the seam-only Leibniz rule of ``DGA.apply_differential`` and
+``cyclic.cyclic_complex``.
 
 ``dense_rank_q`` (dense Gauss-Jordan over Fractions) and ``reference_homology``
 (kernel coordinates from the Smith form of the outgoing boundary, then a
@@ -19,7 +23,8 @@ transforms at every step: the oracle for ``ring.smith_normal_form`` and its
 fraction-free kernel.  ``poly_gcd`` is the monic Euclidean gcd in Q[U].
 
 ``det`` (division-free cofactor expansion), ``rank`` (with ``_rank_qu``,
-fraction-free elimination over Q(U)), ``evaluate`` (U := s) and
+fraction-free elimination over Q(U)), ``dense_matmul`` (the oracle for the
+sparse ``ExactMatrix.__matmul__``), ``evaluate`` (U := s) and
 ``boundary_matrix`` (a stored boundary or the zero matrix) are matrix
 operations that only the tests use; so are ``multiply`` and ``scaled``
 (algebra elements), ``exterior_orbit_multiset`` (forests), ``path_index``
@@ -182,6 +187,52 @@ def project_word(dga: DGA, word: Word, coeff) -> Optional[Tuple[Word, Coeff]]:
     return canonical, coeff * sign
 
 
+def apply_differential(dga: DGA, elem: AlgebraElement) -> AlgebraElement:
+    """The derivation extension, one raw word at a time: each Leibniz term
+    is built whole and normalized, which checks every junction of an
+    associative word for composability."""
+    acc: Dict[Word, Coeff] = {}
+    for word, coeff in elem.terms.items():
+        sign = 1
+        for i, letter in enumerate(word):
+            for dword, dcoeff in dga.d_of_generator(letter).terms.items():
+                nw, nc = dga.normalize_word(word[:i] + dword + word[i + 1:], coeff * dcoeff * sign)
+                if nc:
+                    acc[nw] = acc[nw] + nc if nw in acc else nc
+            if dga.generators[letter].parity:
+                sign = -sign
+    return AlgebraElement(dga.ring, acc)
+
+
+def cyclic_differential(dga: DGA, word: Word) -> Dict[Word, Coeff]:
+    """Differential of a class from raw words: ``apply_differential``, then
+    every nonconstant term projected to its class."""
+    acc: Dict[Word, Coeff] = {}
+    for w, c in apply_differential(dga, AlgebraElement(dga.ring, {word: 1})).terms.items():
+        projected = project_word(dga, w, c) if w else None
+        if projected is not None:
+            key, val = projected
+            acc[key] = acc[key] + val if key in acc else val
+    return {k: v for k, v in acc.items() if v}
+
+
+def cyclic_boundaries(dga: DGA, basis: Dict[int, Tuple[Word, ...]]) -> Dict[int, ExactMatrix]:
+    """The nonzero boundaries d_k of the cyclic complex on ``basis``, built
+    dense from ``cyclic_differential``."""
+    out = {}
+    for k in sorted(basis):
+        if k - 1 not in basis or not basis[k]:
+            continue
+        index = {w: i for i, w in enumerate(basis[k - 1])}
+        rows = [[zero(dga.ring)] * len(basis[k]) for _ in basis[k - 1]]
+        for j, word in enumerate(basis[k]):
+            for w, c in cyclic_differential(dga, word).items():
+                rows[index[w]][j] += c
+        if any(x for row in rows for x in row):
+            out[k] = ExactMatrix(dga.ring, rows)
+    return out
+
+
 def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict[int, Tuple[Word, ...]]:
     """Canonical words of the nonzero classes, per degree in [lo, hi]."""
     if any(g.degree <= 0 for g in dga.generators.values()):
@@ -329,7 +380,15 @@ def _rank_qu(rows) -> int:
 
 def rank(m: ExactMatrix) -> int:
     """Rank over the fraction field (Q, or Q(U) via fraction-free elimination)."""
-    return _rank_q(m.rows) if m.ring == RING_Q else _rank_qu(m.rows)
+    return _rank_q(m.entries) if m.ring == RING_Q else _rank_qu(m.rows)
+
+
+def dense_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The product a @ b, one dense dot product per cell."""
+    assert a.ring == b.ring and a.ncols == b.nrows
+    return ExactMatrix(a.ring, [[sum((a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)),
+                                     zero(a.ring)) for j in range(b.ncols)]
+                                for i in range(a.nrows)])
 
 
 def evaluate(m: ExactMatrix, s) -> ExactMatrix:

@@ -128,6 +128,25 @@ def test_unknown_flag_is_parse_error(capsys):
     assert code == 1 and err
 
 
+@pytest.mark.parametrize("window", ["5..3", "3", "3..", "..3", "1..x", "1..3..5"])
+@pytest.mark.parametrize("command", [
+    ["cyclic", "--window"],
+    ["dga", "--homology"],
+    ["dga", "--linearize", "zero", "--homology"],
+])
+def test_empty_or_malformed_window_is_refused(capsys, command, window):
+    # A reversed window used to print nothing and exit 0.
+    head, *flags = command
+    code, out, err = run_cli(capsys, head, str(DATA / "exact_pair.json"), *flags, window)
+    assert code == 1 and out == ""
+    assert f"window {window!r}" in err and "LO..HI" in err and "LO <= HI" in err
+
+
+def test_one_degree_window(capsys):
+    code, out, _ = run_cli(capsys, "cyclic", str(DATA / "acyclic_unit.json"), "--window", "3..3")
+    assert code == 0 and out == "HC_3: rank 1\n"
+
+
 def test_cyclic_window(capsys):
     code, out, _ = run_cli(capsys, "cyclic", str(DATA / "acyclic_unit.json"),
                            "--window", "1..5")

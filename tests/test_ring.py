@@ -16,8 +16,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (dense_rank_q, det, evaluate, poly_gcd, rank, reference_smith_normal_form,
-                     seeded_rng)
+from helpers import (dense_matmul, dense_rank_q, det, evaluate, poly_gcd, rank,
+                     reference_smith_normal_form, seeded_rng)
 from sftkit.dga import AlgebraElement
 from sftkit.ring import (
     RING_Q,
@@ -192,6 +192,38 @@ def test_exact_matrix_pickle_roundtrip(m):
     assert (back.ring, back.nrows, back.ncols) == (m.ring, m.nrows, m.ncols)
 
 
+@st.composite
+def sparse_matrices(draw, ring=None, shape=None):
+    """Up to 6 x 6 matrices over Q or Q[U], about half their cells zero."""
+    ring = ring or draw(st.sampled_from([RING_Q, RING_QU]))
+    nrows, ncols = shape or (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=3) if ring == RING_Q else upolys
+    return ExactMatrix(ring, [[draw(entry) if draw(st.booleans()) else 0 for _ in range(ncols)]
+                              for _ in range(nrows)])
+
+
+@given(sparse_matrices())
+def test_dense_and_sparse_construction_agree(m):
+    trusted = ExactMatrix._from_entries(
+        m.ring, [{j: x for j, x in enumerate(row) if x} for row in m.rows], m.ncols)
+    assert trusted.rows == m.rows and trusted.entries == m.entries
+    assert trusted == m and hash(trusted) == hash(m)
+    back = pickle.loads(pickle.dumps(trusted))
+    assert back == m and back.rows == m.rows and (back.nrows, back.ncols) == (m.nrows, m.ncols)
+    assert all(x for line in m.entries for x in line.values())
+
+
+@given(st.data(), st.sampled_from([RING_Q, RING_QU]), st.integers(1, 5), st.integers(1, 5),
+       st.integers(1, 5))
+def test_matmul_matches_dense_reference(data, ring, n, k, p):
+    # a matrix without rows has no columns (ExactMatrix(ring, []) is 0 x 0)
+    a = data.draw(sparse_matrices(ring, (n, k)))
+    b = data.draw(sparse_matrices(ring, (k, p)))
+    product = a @ b
+    assert product == dense_matmul(a, b)
+    assert product.rows == dense_matmul(a, b).rows
+
+
 def test_rank_and_evaluate():
     m = ExactMatrix(RING_QU, [[U, 1], [U ** 2, U]])
     assert rank(m) == 1
@@ -268,7 +300,7 @@ def test_rank_q_matches_dense_reference_and_sympy(rows):
     from sympy.polys.matrices import DomainMatrix
 
     want = dense_rank_q(rows)
-    assert _rank_q(rows) == want
+    assert _rank_q(ExactMatrix(RING_Q, rows).entries) == want
     if rows and rows[0]:
         dm = DomainMatrix([[QQ(x.numerator, x.denominator) for x in r] for r in rows],
                           (len(rows), len(rows[0])), QQ)
