@@ -203,48 +203,41 @@ def _cmd_energy(args) -> int:
 
 def _cmd_dga(args) -> int:
     algebra = dga_mod.dga_from_doc(_load_json(args.file))
-    did_something = False
+    if (args.set_u is None and not args.check and not args.bidegree
+            and args.linearize is None and args.homology is None):
+        raise ValueError("dga: nothing to do; pass --check/--bidegree/--linearize/"
+                         "--homology/--set-u")
     if args.set_u is not None:
         algebra = algebra.evaluate_U(rat(args.set_u))
         doc = dga_mod.dga_to_doc(algebra)
         _emit(args, doc, [json.dumps(doc, sort_keys=True, indent=2)])
-        did_something = True
     if args.check:
         residues = algebra.check_d_squared()
         if residues:
             name, residue = residues[0]
             raise DSquareNonzero(f"d^2({name}) = {residue}")
         _emit(args, {"op": "check", "value": True}, ["d^2 = 0"])
-        did_something = True
     if args.bidegree:
         problems = algebra.check_bidegree()
         if problems:
             raise BidegreeViolation(problems[0])
         _emit(args, {"op": "bidegree", "value": True}, ["bidegree (-1, 0)"])
-        did_something = True
+    cx = None
     if args.linearize is not None:
         eps = _load_eps(args.linearize, algebra)
-        aug = dga_mod.augment(algebra, eps)
-        cx = dga_mod.linearize(algebra, aug)
-        payload = {"op": "linearize", "basis": {str(k): list(v) for k, v in cx.basis.items()}}
-        lines = [f"deg {k}: " + (" ".join(v) if v else "-") for k, v in sorted(cx.basis.items())]
+        cx = dga_mod.linearize(algebra, dga_mod.augment(algebra, eps))
         if args.homology is None:
-            _emit(args, payload, lines)
-            did_something = True
-        else:
-            lo, hi = _parse_window(args.homology)
-            _emit_homology(args, dga_mod.homology(cx, lo, hi), lo, hi)
-            return EXIT_OK
-    if args.homology is not None and args.linearize is None:
+            payload = {"op": "linearize",
+                       "basis": {str(k): list(v) for k, v in cx.basis.items()}}
+            _emit(args, payload, [f"deg {k}: " + (" ".join(v) if v else "-")
+                                  for k, v in sorted(cx.basis.items())])
+    if args.homology is not None:
         lo, hi = _parse_window(args.homology)
-        # enumerate one degree below and one above the window, so that both
-        # d_lo and d_{hi+1} are stored
-        cx = dga_mod.word_complex(algebra, max(lo - 1, 0), hi + 1)
-        _emit_homology(args, dga_mod.homology(cx, lo, hi), lo, hi)
-        did_something = True
-    if not did_something:
-        raise ValueError("dga: nothing to do; pass --check/--bidegree/--linearize/"
-                         "--homology/--set-u")
+        if cx is None:
+            # enumerate one degree below and one above the window, so that
+            # both d_lo and d_{hi+1} are stored
+            cx = dga_mod.word_complex(algebra, max(lo - 1, 0), hi + 1)
+        _emit_homology(args, dga_mod.homology(cx, lo, hi), lo, hi, "homology", "H")
     return EXIT_OK
 
 
@@ -263,17 +256,15 @@ def _load_eps(spec_txt: str, algebra) -> dict:
     return out
 
 
-def _emit_homology(args, summary, lo, hi) -> None:
-    payload = {"op": "homology", "ranks": {}}
+def _emit_homology(args, summary, lo, hi, op, prefix) -> None:
+    payload = {"op": op, "ranks": {}}
     lines = []
     for k in range(lo, hi + 1):
         s = summary[k]
         torsion = [str(t) for t in s.torsion]
         payload["ranks"][str(k)] = {"free": s.free_rank, "torsion": torsion}
-        desc = f"H_{k}: rank {s.free_rank}"
-        if torsion:
-            desc += " + " + " + ".join(f"tors({t})" for t in torsion)
-        lines.append(desc)
+        lines.append(f"{prefix}_{k}: rank {s.free_rank}"
+                     + "".join(f" + tors({t})" for t in torsion))
     _emit(args, payload, lines)
 
 
@@ -284,13 +275,7 @@ def _cmd_cyclic(args) -> int:
     algebra = dga_mod.dga_from_doc(_load_json(args.file))
     lo, hi = _parse_window(args.window)
     summary = cyclic_mod.reduced_cyclic_homology(algebra, lo, hi, link=args.link)
-    payload = {"op": "cyclic", "ranks": {}}
-    lines = []
-    for k in range(lo, hi + 1):
-        s = summary[k]
-        payload["ranks"][str(k)] = {"free": s.free_rank, "torsion": [str(t) for t in s.torsion]}
-        lines.append(f"HC_{k}: rank {s.free_rank}")
-    _emit(args, payload, lines)
+    _emit_homology(args, summary, lo, hi, "cyclic", "HC")
     return EXIT_OK
 
 
@@ -298,33 +283,29 @@ def _cmd_cyclic(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    if args.model_action == "orbits":
-        params = models.ModelParams(n=args.n, a=args.a, N=args.N, rho=args.rho)
-        table = models.model_orbits(params)
-        payload = {"op": "orbits", "rows": [
-            {"family": r.family, "cover": r.cover, "cz": r.cz,
-             "name": r.generator.name, "deg": r.generator.degree,
-             "link": r.generator.link}
-            for r in table
-        ]}
-        lines = [f"{'family':<8} {'k':>3} {'cz':>4} {'deg':>4} {'link':>4}  name"]
+    if args.model_action in ("orbits", "chords"):
+        # the two generator tables differ only in the cz column
+        with_cz = args.model_action == "orbits"
+        if with_cz:
+            params = models.ModelParams(n=args.n, a=args.a, N=args.N, rho=args.rho)
+            table = models.model_orbits(params)
+        else:
+            table = models.model_chords(args.n, args.max_link)
+        cz_head = f" {'cz':>4}" if with_cz else ""
+        rows = []
+        lines = [f"{'family':<8} {'k':>3}{cz_head} {'deg':>4} {'link':>4}  name"]
         for r in table:
-            lines.append(f"{r.family:<8} {r.cover:>3} {r.cz:>4} {r.generator.degree:>4} "
-                         f"{r.generator.link:>4}  {r.generator.name}")
-        _emit(args, payload, lines)
-    elif args.model_action == "chords":
-        table = models.model_chords(args.n, args.max_link)
-        payload = {"op": "chords", "rows": [
-            {"family": r.family, "cover": r.cover,
-             "name": r.generator.name, "deg": r.generator.degree,
-             "link": r.generator.link}
-            for r in table
-        ]}
-        lines = [f"{'family':<8} {'k':>3} {'deg':>4} {'link':>4}  name"]
-        for r in table:
-            lines.append(f"{r.family:<8} {r.cover:>3} {r.generator.degree:>4} "
-                         f"{r.generator.link:>4}  {r.generator.name}")
-        _emit(args, payload, lines)
+            g = r.generator
+            row = {"family": r.family, "cover": r.cover, "name": g.name,
+                   "deg": g.degree, "link": g.link}
+            cz_cell = ""
+            if with_cz:
+                row["cz"] = r.cz
+                cz_cell = f" {r.cz:>4}"
+            rows.append(row)
+            lines.append(f"{r.family:<8} {r.cover:>3}{cz_cell} {g.degree:>4} "
+                         f"{g.link:>4}  {g.name}")
+        _emit(args, {"op": args.model_action, "rows": rows}, lines)
     elif args.model_action == "ranks":
         table = models.linearized_ranks(args.n, args.N)
         payload = {"op": "ranks", "ranks": {str(k): v for k, v in table.items()}}

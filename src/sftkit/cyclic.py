@@ -84,12 +84,11 @@ def rotation_class(dga: DGA, word: Word) -> Optional[Tuple[Word, int]]:
         raise ValueError("cyclic words are nonempty")
     if dga.mode != MODE_ASSOCIATIVE:
         raise ValueError("rotation classes are taken in associative algebras")
-    gens = [dga.generators[name] for name in word]
-    if len(gens) > 1:
-        for left, right in zip(gens[-1:] + gens[:-1], gens):
-            if left.is_chord and right.is_chord and left.kind[1] != right.kind[2]:
-                return None  # the word does not close up cyclically
-    return _rotate(word, [g.degree for g in gens])
+    ends = dga._ends
+    if len(word) > 1 and not all(_composable(ends[left][0], ends[right][1])
+                                 for left, right in zip(word[-1:] + word[:-1], word)):
+        return None  # the word does not close up cyclically
+    return _rotate(word, [dga.generators[name].degree for name in word])
 
 
 def _rotate(word: Word, degrees: List[int]) -> Optional[Tuple[Word, int]]:

@@ -104,18 +104,17 @@ class PathSpec:
 def cz_crossing(path: PathSpec, subdivisions: int = 256) -> int:
     """Index 1 + 2 * #{t in (0,1) : lam(t) integer} for a monotone trajectory.
 
-    Each crossing is isolated by bisection on the sampled grid; a trajectory
-    ending within tolerance of an integer raises DegeneratePath, and a
-    non-monotone sample grid is rejected.
+    The trajectory is sampled on a grid of ``subdivisions`` steps, where it
+    must be strictly increasing from 0; it then crosses each integer below
+    lam(1) once, so the count is floor(lam(1)).  A trajectory ending within
+    tolerance of an integer raises DegeneratePath.
     """
     if subdivisions < 2:
         raise ValueError("need at least two subdivisions")
     lam = path.eigenvalue
-    lam0 = lam(0.0)
-    if abs(lam0) > INTEGER_TOL:
+    if abs(lam(0.0)) > INTEGER_TOL:
         raise ValueError("trajectory must start at 0")
-    grid = [i / subdivisions for i in range(subdivisions + 1)]
-    values = [lam(t) for t in grid]
+    values = [lam(i / subdivisions) for i in range(subdivisions + 1)]
     for a, b in zip(values, values[1:]):
         if b <= a:
             raise ValueError("eigenvalue trajectory is not strictly increasing on the grid")
@@ -123,23 +122,7 @@ def cz_crossing(path: PathSpec, subdivisions: int = 256) -> int:
     if abs(end - round(end)) < INTEGER_TOL:
         raise DegeneratePath(f"trajectory ends at {end}, within tolerance of an integer")
 
-    crossings = 0
-    target = 1
-    for (t0, v0), (t1, v1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        while target <= v1:
-            if target > v0:
-                lo, hi = t0, t1
-                for _ in range(200):
-                    mid = (lo + hi) / 2
-                    if lam(mid) < target:
-                        lo = mid
-                    else:
-                        hi = mid
-                    if hi - lo < 1e-15:
-                        break
-                crossings += 1
-            target += 1
-    return 1 + 2 * crossings
+    return 1 + 2 * math.floor(end)
 
 
 class GammaOrbitResult(NamedTuple):

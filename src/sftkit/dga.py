@@ -147,18 +147,20 @@ class DGA:
         self.mode = mode
         self.components = components
         self.generators = table
+        # name -> (source, target): a chord's endpoints in associative mode,
+        # (None, None) otherwise, which composes with anything
+        self._ends = {n: g.kind[1:] if g.is_chord and mode == MODE_ASSOCIATIVE else (None, None)
+                      for n, g in table.items()}
         diff: Dict[str, AlgebraElement] = {}
         for name, elem in (differential or {}).items():
             if name not in table:
                 raise ValueError(f"differential on unknown generator {name!r}")
             diff[name] = self.normalize_element(elem)
         self.differential = diff
-        # name -> (degree, source, target, d-terms) for the Leibniz rule: the
-        # endpoints of chords in associative mode (None otherwise, which
-        # composes with anything), and each term of d(name) as (word, coeff,
-        # target of its first letter, source of its last letter)
-        ends = {n: g.kind[1:] if g.is_chord and mode == MODE_ASSOCIATIVE else (None, None)
-                for n, g in table.items()}
+        # name -> (degree, source, target, d-terms) for the Leibniz rule, with
+        # each term of d(name) as (word, coeff, target of its first letter,
+        # source of its last letter)
+        ends = self._ends
         self._leibniz_table = {
             n: (g.degree, *ends[n], tuple(
                 (w, c, ends[w[0]][1], ends[w[-1]][0]) if w else (w, c, None, None)
@@ -222,16 +224,13 @@ class DGA:
         return self.generators[name].sort_key()
 
     def _check_composable(self, word: Word):
+        # c_{ij} = e_j c_{ij} e_i : the right unit of the left factor must
+        # match the left unit of the right factor.
         for left, right in zip(word, word[1:]):
-            gl, gr = self.generators[left], self.generators[right]
-            if gl.is_chord and gr.is_chord:
-                # c_{ij} = e_j c_{ij} e_i : the right unit of the left factor
-                # must match the left unit of the right factor.
-                if gl.kind[1] != gr.kind[2]:
-                    raise NonComposable(
-                        f"{left!r} (from component {gl.kind[1]}) cannot follow "
-                        f"{right!r} (into component {gr.kind[2]})"
-                    )
+            source, target = self._ends[left][0], self._ends[right][1]
+            if not _composable(source, target):
+                raise NonComposable(f"{left!r} (from component {source}) cannot follow "
+                                    f"{right!r} (into component {target})")
 
     def normalize_element(self, elem: AlgebraElement) -> AlgebraElement:
         out: Dict[Word, Coeff] = {}
@@ -550,8 +549,7 @@ def _letters(dga: DGA, link: Optional[int]) -> List[tuple]:
         g = dga.generators[name]
         if link is not None and g.link is None:
             continue
-        ends = g.kind[1:] if g.is_chord and dga.mode == MODE_ASSOCIATIVE else (None, None)
-        out.append((name, g.degree, 0 if link is None else g.link) + ends)
+        out.append((name, g.degree, 0 if link is None else g.link) + dga._ends[name])
     return out
 
 

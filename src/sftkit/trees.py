@@ -129,31 +129,17 @@ class DecoratedForest:
                 if emap[eid].level != j:
                     raise MalformedForest(f"vertex {v.vid!r}: outgoing edge level mismatch")
 
-        # acyclicity over directed vertex adjacency
-        order: Dict[str, int] = {}
-        state: Dict[str, int] = {}
-
-        def visit(vid: str):
-            stack = [(vid, iter([emap[eid].dst for eid in outgoing[vid] if emap[eid].dst]))]
-            state[vid] = 1
-            while stack:
-                node, it = stack[-1]
-                nxt = next(it, None)
-                if nxt is None:
-                    state[node] = 2
-                    order[node] = len(order)
-                    stack.pop()
-                    continue
-                st = state.get(nxt, 0)
-                if st == 1:
-                    raise MalformedForest("forest contains a directed cycle")
-                if st == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter([emap[eid].dst for eid in outgoing[nxt] if emap[eid].dst])))
-
+        # every vertex has exactly one incoming edge, so the forest is acyclic
+        # exactly when each vertex's chain of parents ends at an input edge
+        rooted = set()
         for vid in vmap:
-            if state.get(vid, 0) == 0:
-                visit(vid)
+            chain = set()
+            while vid is not None and vid not in rooted:
+                if vid in chain:
+                    raise MalformedForest("forest contains a directed cycle")
+                chain.add(vid)
+                vid = emap[incoming[vid][0]].src
+            rooted |= chain
 
         object.__setattr__(self, "vertices", dict(sorted(vmap.items())))
         object.__setattr__(self, "edges", dict(sorted(emap.items())))

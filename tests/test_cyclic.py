@@ -308,34 +308,37 @@ def test_degree_zero_generators_rejected():
 
 @st.composite
 def random_algebras(draw):
-    """Free algebras of both modes on 1-4 generators of degree 1-4 with links
-    None/0/1/2, orbits and chords over 1-2 components, named so that name
-    order and degree order disagree."""
+    """Free algebras of both modes on 2-4 generators with links None/0/1/2
+    over 1-2 components, named so that name order and degree order disagree:
+    orbits of degree 1-4 and chords of degree 1-2, each chord's (source,
+    target) pair drawn as one choice.  Low chord degrees make words of several
+    chords common, and over two components many of them compose without
+    closing up."""
     mode = draw(st.sampled_from(["associative", "commutative"]))
     components = draw(st.integers(1, 2))
-    names = draw(st.permutations(["a", "b", "c", "d"]))[:draw(st.integers(1, 4))]
-    component = st.integers(0, components - 1)
+    names = draw(st.permutations(["a", "b", "c", "d"]))[:draw(st.integers(2, 4))]
+    kinds = [("orbit",)] + [("chord", s, t) for s in range(components) for t in range(components)]
     gens = []
     for name in names:
-        kind = ("chord", draw(component), draw(component)) if draw(st.booleans()) else ("orbit",)
-        gens.append(Generator(name, draw(st.integers(1, 4)),
-                              draw(st.sampled_from([None, 0, 1, 2])), kind))
+        kind = draw(st.sampled_from(kinds))
+        degree = draw(st.integers(1, 4 if kind == ("orbit",) else 2))
+        gens.append(Generator(name, degree, draw(st.sampled_from([None, 0, 1, 2])), kind))
     return DGA(RING_Q, mode, gens, components=components)
 
 
 @st.composite
 def random_dg_algebras(draw):
     """``random_algebras`` over Q or Q[U] with a random differential: each
-    generator maps to zero or up to two words one degree lower (the unit for
-    degree 1), whose chords need not match its endpoints, so a Leibniz term
-    may not compose; d^2 need not vanish."""
+    generator with words one degree lower (the unit for degree 1) maps to one
+    or two of them, whose chords need not match its endpoints, so a Leibniz
+    term may not compose; d^2 need not vanish."""
     base = draw(random_algebras())
     ring = draw(st.sampled_from([RING_Q, RING_QU]))
     diff = {}
     for name, g in base.generators.items():
         words = word_basis(base, g.degree - 1)
-        terms = draw(st.lists(st.sampled_from(words), max_size=2, unique=True)) if words else []
-        if terms:
+        if words:
+            terms = draw(st.lists(st.sampled_from(words), min_size=1, max_size=2, unique=True))
             diff[name] = AlgebraElement(ring, {w: draw(coefficients(ring)) for w in terms})
     return DGA(ring, base.mode, list(base.generators.values()), diff, base.components)
 

@@ -67,6 +67,21 @@ def test_crossing_on_nonlinear_monotone_path():
     assert cz_crossing(cubic, subdivisions=64) == 1 + 2 * 9
 
 
+def test_crossing_samples_only_the_grid():
+    # the count reads lam(1) off the grid: no sample between grid points
+    calls = []
+
+    def trajectory(t):
+        calls.append(t)
+        return 7.5 * t + math.sin(3 * t) / 10
+
+    path = PathSpec("monotone_exp", trajectory=trajectory)
+    for subdivisions in (2, 8, 256):
+        calls.clear()
+        assert cz_crossing(path, subdivisions=subdivisions) == 1 + 2 * 7
+        assert len(calls) == subdivisions + 2  # t = 0 once more, checking the start
+
+
 def test_crossing_rejects_nonmonotone():
     path = PathSpec("monotone_exp", trajectory=lambda t: math.sin(7 * t))
     with pytest.raises(ValueError):

@@ -147,6 +147,30 @@ def test_machine_output_matches_recording(monkeypatch):
         assert run(want["argv"]) == want, " ".join(want["argv"])
 
 
+def test_table_output_shows_recorded_torsion(monkeypatch):
+    """Every recorded command exits with its recorded code in table format
+    too, and each homology line of the table shows the recorded free rank and
+    every recorded torsion factor as ``tors(t)``."""
+    monkeypatch.chdir(ROOT)
+    with_torsion = 0
+    for want in json.loads(GOLDEN.read_text()):
+        argv = want["argv"][2:]  # drop "--format machine"
+        got = run(["--format", "table", *argv])
+        assert got["exit"] == want["exit"], " ".join(argv)
+        lines = {line.partition(":")[0]: line for line in got["stdout"].splitlines()}
+        docs = [json.loads(doc) for doc in want["stdout"].splitlines()[1:]]
+        homology = [doc for doc in docs if doc.get("op") in ("homology", "cyclic")]
+        for doc in homology:
+            prefix = "HC" if doc["op"] == "cyclic" else "H"
+            for k, s in doc["ranks"].items():
+                line = lines[f"{prefix}_{k}"]
+                assert line == (f"{prefix}_{k}: rank {s['free']}"
+                                + "".join(f" + tors({t})" for t in s["torsion"])), " ".join(argv)
+        with_torsion += any(s["torsion"] for doc in homology for s in doc["ranks"].values())
+    # the orbit_qu and torsion_qu commands over Q[U]
+    assert with_torsion == 18
+
+
 def test_parser_keeps_no_state_between_calls(monkeypatch):
     """``main`` reuses one parser, so every command must print the same bytes
     when run again after a parse failure and a domain error."""

@@ -381,3 +381,30 @@ def test_forest_validation():
         )
     with pytest.raises(MalformedForest):
         OrbitLabel("bad", p_n=2)
+
+
+CYCLES = {
+    "self-loop": ([Vertex("v", (0, 0), 0)], [Edge("e", "v", "v", OUT_V)]),
+    "2-cycle": ([Vertex("v", (0, 0), 0), Vertex("w", (0, 0), 0)],
+                [Edge("e1", "v", "w", OUT_V), Edge("e2", "w", "v", OUT_V),
+                 Edge("out", "w", None, OUT_V)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLES))
+def test_forest_with_directed_cycle_is_refused(name, tmp_path, capsys):
+    # every vertex has its one incoming edge and the levels agree, so only the
+    # cycle itself is wrong
+    vertices, edges = CYCLES[name]
+    with pytest.raises(MalformedForest, match="directed cycle"):
+        DecoratedForest(vertices, edges)
+
+    from sftkit.cli import main
+
+    doc = {"vertices": [{"id": v.vid, "level": list(v.level), "s": v.s} for v in vertices],
+           "edges": [{"id": e.eid, "src": e.src, "dst": e.dst,
+                      "orbit": {"name": e.orbit.name, "level": e.level}} for e in edges]}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    assert main(["trees", "show", str(path)]) == 2
+    assert "MalformedForest: forest contains a directed cycle" in capsys.readouterr().err
