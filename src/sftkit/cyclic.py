@@ -39,7 +39,7 @@ from .dga import (
     _composable,
     _letters,
     _normal_words,
-    assemble_boundary,
+    assemble_complex,
     homology,
     refuse_long_words,
     word_basis,
@@ -85,8 +85,8 @@ def rotation_class(dga: DGA, word: Word) -> Optional[Tuple[Word, int]]:
     if dga.mode != MODE_ASSOCIATIVE:
         raise ValueError("rotation classes are taken in associative algebras")
     ends = dga._ends
-    if len(word) > 1 and not all(_composable(ends[left][0], ends[right][1])
-                                 for left, right in zip(word[-1:] + word[:-1], word)):
+    if not all(_composable(ends[left][0], ends[right][1])
+               for left, right in zip(word[-1:] + word[:-1], word)):
         return None  # the word does not close up cyclically
     return _rotate(word, [dga.generators[name].degree for name in word])
 
@@ -138,8 +138,8 @@ def _necklaces(letters: List[tuple], degree: int, link: int, reach: List[set]) -
     t - p, where p is the length of the longest Lyndon prefix, and the word is
     a necklace of primitive period p when p divides its length.  Prefixes are
     pruned when no completion of the remaining degree reaches the remaining
-    link (``reach``), and when adjacent chords, or the last and first letters,
-    do not compose.
+    link (``reach``), and when adjacent chords, or the last and first letters
+    (for a one-letter word, the letter with itself), do not compose.
     """
     word: List[int] = []
     prefix = [0]  # prefix[i]: degree of the first i letters
@@ -161,7 +161,7 @@ def _necklaces(letters: List[tuple], degree: int, link: int, reach: List[set]) -
             _, deg, lk, src, tgt = letters[i]
             if deg > rem or need - lk not in reach[rem - deg] or not _composable(last, tgt):
                 continue
-            if deg == rem and t and not _composable(src, first):
+            if deg == rem and not _composable(src, first if t else tgt):
                 continue
             word.append(i)
             prefix.append(prefix[-1] + deg)
@@ -229,7 +229,7 @@ def cyclic_differential(dga: DGA, word: Word) -> Dict[Word, Coeff]:
     table = dga._leibniz_table
     acc: Dict[Word, Coeff] = {}
     for term, coeff in raw.items():
-        if not coeff or len(term) > 1 and not _composable(table[term[-1]][1], table[term[0]][2]):
+        if not coeff or not _composable(table[term[-1]][1], table[term[0]][2]):
             continue
         cls = _rotate(term, [table[name][0] for name in term])
         if cls is None:
@@ -248,13 +248,8 @@ def cyclic_complex(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Ch
     """Coinvariant complex on [lo-1, hi+1], ready for homology in [lo, hi]."""
     span_lo = max(lo - 1, 0)
     basis = cyclic_basis(dga, span_lo, hi + 1, link=link)
-    image = partial(cyclic_differential, dga)
-    boundary = {}
-    for k in range(span_lo + 1, hi + 2):
-        mat = assemble_boundary(dga.ring, basis[k - 1], basis[k], image)
-        if mat is not None:
-            boundary[k] = mat
-    return ChainComplex(dga.ring, basis, boundary)
+    return assemble_complex(dga.ring, basis, partial(cyclic_differential, dga),
+                            range(span_lo + 1, hi + 2))
 
 
 def reduced_cyclic_homology(

@@ -23,8 +23,7 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequen
 
 from .errors import (BidegreeViolation, DSquareNonzero, InfiniteBasis, NonComposable,
                      NotAChainMap, TooLarge)
-from .ring import (RING_Q, RING_QU, ExactMatrix, UPoly, _invariant_factors, _rank_q, coerce,
-                   one, rat, zero)
+from .ring import RING_Q, RING_QU, ExactMatrix, UPoly, _rank_and_torsion, coerce, one, rat, zero
 
 Coeff = Union[Fraction, UPoly]
 Word = Tuple[str, ...]
@@ -343,12 +342,6 @@ class Augmentation:
 
     values: Tuple[Tuple[str, Coeff], ...]
 
-    def value(self, name: str) -> Coeff:
-        for n, c in self.values:
-            if n == name:
-                return c
-        raise KeyError(name)
-
 
 def augment(dga: DGA, eps: Optional[Dict[str, Coeff]] = None) -> Augmentation:
     """Check that eps (default: zero) kills the differential and wrap it.
@@ -442,31 +435,34 @@ def _text(x) -> str:
     return ("*".join(x) or "1") if isinstance(x, tuple) else str(x)
 
 
-def assemble_boundary(ring: str, rows: Sequence, cols: Sequence, image) -> Optional[ExactMatrix]:
-    """Matrix of a differential from the span of ``cols`` to the span of
-    ``rows``, where ``image(col)`` gives {row element: coeff} with coeffs
-    already in ``ring`` (they are stored as they are, sparse); None when
-    every entry is zero.  This is the only builder of boundary matrices.
+def assemble_complex(ring: str, basis: Dict[int, Tuple], image,
+                     degrees: Iterable[int]) -> ChainComplex:
+    """The complex on ``basis`` whose boundary d_k, for k in ``degrees``, maps
+    the span of ``basis[k]`` to the span of ``basis.get(k - 1, ())``, where
+    ``image(col)`` gives {row element: coeff} with coeffs already in ``ring``
+    (they are stored as they are, sparse).  A boundary with no nonzero entry
+    is not stored.  This is the only builder of boundary matrices.
 
-    A term outside ``rows`` leaves the next degree down (or the requested
+    A term outside the rows leaves the next degree down (or the requested
     link) and raises BidegreeViolation, however the basis was enumerated.
     """
-    if not cols:
-        return None
-    index = {w: i for i, w in enumerate(rows)}
-    entries: List[Dict[int, Coeff]] = [{} for _ in rows]
-    for j, col in enumerate(cols):
-        for target, coeff in image(col).items():
-            i = index.get(target)
-            if i is None:
-                raise BidegreeViolation(
-                    f"d({_text(col)}) has the term {_text(target)} outside the next degree down"
-                )
-            if coeff:
-                entries[i][j] = coeff
-    if not any(entries):
-        return None
-    return ExactMatrix._from_entries(ring, entries, len(cols))
+    boundary: Dict[int, ExactMatrix] = {}
+    for k in degrees:
+        rows = basis.get(k - 1, ())
+        index = {w: i for i, w in enumerate(rows)}
+        entries: List[Dict[int, Coeff]] = [{} for _ in rows]
+        for j, col in enumerate(basis[k]):
+            for target, coeff in image(col).items():
+                i = index.get(target)
+                if i is None:
+                    raise BidegreeViolation(
+                        f"d({_text(col)}) has the term {_text(target)} outside the next degree down"
+                    )
+                if coeff:
+                    entries[i][j] = coeff
+        if any(entries):
+            boundary[k] = ExactMatrix._from_entries(ring, entries, len(basis[k]))
+    return ChainComplex(ring, basis, boundary)
 
 
 def linearize(dga: DGA, aug: Augmentation) -> ChainComplex:
@@ -479,6 +475,7 @@ def linearize(dga: DGA, aug: Augmentation) -> ChainComplex:
     """
     degrees = sorted({g.degree for g in dga.generators.values()})
     basis = {d: tuple(n for n, g in dga.generators.items() if g.degree == d) for d in degrees}
+    eps = dict(aug.values)
 
     def image(name: str) -> Dict[str, Coeff]:
         out: Dict[str, Coeff] = {}
@@ -488,19 +485,14 @@ def linearize(dga: DGA, aug: Augmentation) -> ChainComplex:
                 for j, other in enumerate(word):
                     if j == i:
                         continue
-                    factor = factor * coerce(dga.ring, aug.value(other))
+                    factor = factor * eps[other]
                     if not factor:
                         break
                 if factor:
                     out[letter] = out[letter] + factor if letter in out else factor
         return out
 
-    boundary = {}
-    for k in degrees:
-        mat = assemble_boundary(dga.ring, basis.get(k - 1, ()), basis[k], image)
-        if mat is not None:
-            boundary[k] = mat
-    return ChainComplex(dga.ring, basis, boundary).verify()
+    return assemble_complex(dga.ring, basis, image, degrees).verify()
 
 
 # Longest associative word that word_basis and cyclic.cyclic_basis will
@@ -670,12 +662,7 @@ def word_complex(dga: DGA, lo: int, hi: int) -> ChainComplex:
     def image(word: Word) -> Dict[Word, Coeff]:
         return dga.apply_differential(AlgebraElement(dga.ring, {word: unit})).terms
 
-    boundary = {}
-    for k in range(lo + 1, hi + 1):
-        mat = assemble_boundary(dga.ring, basis[k - 1], basis[k], image)
-        if mat is not None:
-            boundary[k] = mat
-    return ChainComplex(dga.ring, basis, boundary)
+    return assemble_complex(dga.ring, basis, image, range(lo + 1, hi + 1))
 
 
 # interchange ---------------------------------------------------------------
@@ -764,34 +751,19 @@ def dga_from_doc(doc: dict) -> DGA:
 def homology(cx: ChainComplex, lo: int, hi: int) -> Dict[int, HomologySummary]:
     """Per-degree homology of a complex of free modules.
 
-    Each boundary d_k is factored once: over Q for its rank, over Q[U] by one
-    transform-free Smith elimination for its rank and its non-unit invariant
-    factors.  Over a PID ker d_k is a summand of C_k, so H_k is free of rank
-    dim C_k - rk d_k - rk d_{k+1} plus the torsion given by the non-unit
-    invariant factors of d_{k+1}.  Raises DSquareNonzero when two stored
-    boundaries of the window do not compose to zero.
+    Each stored boundary d_k of the window is factored once, for its rank and
+    its non-unit invariant factors (``ring._rank_and_torsion``); a boundary
+    that is not stored has rank 0.  Over a PID ker d_k is a summand of C_k,
+    so H_k is free of rank dim C_k - rk d_k - rk d_{k+1} plus the torsion
+    given by the non-unit invariant factors of d_{k+1}.  Raises
+    DSquareNonzero when two stored boundaries of the window do not compose
+    to zero.
     """
     _check_square_zero(cx, range(lo + 1, hi + 2))
-    factored: Dict[int, Tuple[int, tuple]] = {}
-
-    def factor(k: int) -> Tuple[int, tuple]:
-        if k not in factored:
-            m = cx.boundary.get(k)
-            if m is None:
-                factored[k] = (0, ())
-            elif cx.ring == RING_Q:
-                factored[k] = (_rank_q(m.entries), ())
-            else:
-                factors = _invariant_factors(m)
-                factored[k] = (len(factors), tuple(f for f in factors if f.degree > 0))
-        return factored[k]
-
+    factored = {k: _rank_and_torsion(cx.boundary[k])
+                for k in range(lo, hi + 2) if k in cx.boundary}
     out: Dict[int, HomologySummary] = {}
     for k in range(lo, hi + 1):
-        n = cx.dim(k)
-        if n == 0:
-            out[k] = HomologySummary(0, ())
-            continue
-        rank_in, torsion = factor(k + 1)
-        out[k] = HomologySummary(n - factor(k)[0] - rank_in, torsion)
+        rank_in, torsion = factored.get(k + 1, (0, ()))
+        out[k] = HomologySummary(cx.dim(k) - factored.get(k, (0, ()))[0] - rank_in, torsion)
     return out

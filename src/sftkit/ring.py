@@ -610,11 +610,15 @@ def _monic(ring: str, p: list):
     return Fraction(1) if ring == RING_Q else UPoly([Fraction(c, p[-1]) for c in p])
 
 
-def _invariant_factors(m: ExactMatrix) -> tuple:
-    """The nonzero invariant factors d_1 | d_2 | ... of ``m``, unit
-    normalized as in ``smith_normal_form``, computed without transforms."""
+def _rank_and_torsion(m: ExactMatrix) -> tuple:
+    """The rank of ``m`` and its invariant factors that are not units, unit
+    normalized as in ``smith_normal_form``, computed without transforms:
+    over Q by ``_rank_q``, over Q[U] by one Smith elimination whose pivots
+    of positive degree are the torsion."""
+    if m.ring == RING_Q:
+        return _rank_q(m.entries), ()
     a, pivots, _, _ = _smith(m, transforms=False)
-    return tuple(_monic(m.ring, a[r][c]) for r, c in pivots)
+    return len(pivots), tuple(_monic(m.ring, a[r][c]) for r, c in pivots if len(a[r][c]) > 1)
 
 
 def smith_normal_form(m: ExactMatrix) -> SmithResult:

@@ -169,6 +169,8 @@ def rotation_class(dga: DGA, word: Word) -> Optional[Tuple[Word, int]]:
     if not word:
         raise ValueError("cyclic words are nonempty")
     try:
+        # the wrap seam, which no rotation of a one-letter word meets
+        dga.normalize_word(word[-1:] + word[:1])
         seen = _rotations(dga, word)
     except NonComposable:
         return None  # the word does not close up cyclically

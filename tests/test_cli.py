@@ -405,6 +405,43 @@ def test_dga_linearize_eps_file(tmp_path, capsys):
     assert out.splitlines() == ["H_1: rank 0", "H_2: rank 0"]
 
 
+# d x = U*z - U^2 with |x| = 1, |z| = 0: only eps(z) = U kills the constant term
+U_CONSTANT = {
+    "ring": "QU", "mode": "commutative",
+    "generators": [{"name": "x", "deg": 1}, {"name": "z", "deg": 0}],
+    "differential": {"x": [{"coeff": "1", "upow": 1, "word": ["z"]},
+                           {"coeff": "-1", "upow": 2, "word": []}]},
+}
+
+
+def test_dga_linearize_qu_eps_file(tmp_path, capsys):
+    algebra = tmp_path / "dga.json"
+    algebra.write_text(json.dumps(U_CONSTANT))
+    eps = tmp_path / "eps.json"
+    eps.write_text(json.dumps({"z": "U"}))
+    code, out, _ = run_cli(capsys, "dga", str(algebra),
+                           "--linearize", str(eps), "--homology", "0..1")
+    assert code == 0
+    assert out.splitlines() == ["H_0: rank 0 + tors(U)", "H_1: rank 0"]
+    code, out, err = run_cli(capsys, "dga", str(algebra),
+                             "--linearize", "zero", "--homology", "0..1")
+    assert code == 2 and out == ""
+    assert err == "error: NotAChainMap: eps(d x) = -U^2 != 0\n"
+
+
+def test_bidegree_names_a_term_of_the_wrong_linking_degree(tmp_path, capsys):
+    doc = {
+        "ring": "Q", "mode": "commutative",
+        "generators": [{"name": "x", "deg": 2, "link": 1}, {"name": "y", "deg": 1, "link": 2}],
+        "differential": {"x": [{"coeff": "1", "word": ["y"]}]},
+    }
+    path = tmp_path / "linked.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "dga", str(path), "--bidegree")
+    assert code == 2
+    assert err == "error: BidegreeViolation: d(x) has a term of linking degree 2, wanted 1\n"
+
+
 def test_trees_concat_cli(tmp_path, capsys):
     upper = {
         "vertices": [{"id": "u", "level": [0, 0], "s": 1,

@@ -84,6 +84,19 @@ def test_rotation_class_takes_associative_words_only():
         rotation_class(d, ("y", "x"))
 
 
+def test_one_letter_chord_closes_up_only_on_one_component():
+    # p: 0 -> 1 is e_1 p - p e_1, a commutator, so its class vanishes; p q closes up
+    p, q = Generator("p", 1, kind=("chord", 0, 1)), Generator("q", 2, kind=("chord", 1, 0))
+    d = DGA(RING_Q, "associative", [p, q], None, 2)
+    assert cyclic_basis(d, 1, 3) == {1: (), 2: (), 3: (("p", "q"),)}
+    assert [s.free_rank for s in reduced_cyclic_homology(d, 1, 3).values()] == [0, 0, 1]
+    assert rotation_class(d, ("p",)) is None
+    assert helpers.rotation_class(d, ("p",)) is None
+    loop = DGA(RING_Q, "associative", [p, q, Generator("r", 1, kind=("chord", 1, 1))], None, 2)
+    assert rotation_class(loop, ("r",)) == (("r",), 1)
+    assert cyclic_basis(loop, 1, 1) == {1: (("r",),)}
+
+
 # differentials ----------------------------------------------------------------
 
 

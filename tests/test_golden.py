@@ -25,6 +25,7 @@ DOCS = ("acyclic_unit", "broken", "exact_pair", "legendrian_q", "orbit_qu")
 TORSION = "tests/data/torsion_qu.json"
 FOREST = "tests/data/forest_two_level.json"
 KOSZUL = "tests/data/koszul_q.json"
+TWO_CHORDS = "tests/data/two_chords_q.json"
 
 
 def commands():
@@ -122,6 +123,12 @@ def commands():
     # windows that start above degree 0 read d_LO from the degree below
     out += [["dga", path, "--homology", "2..8"]
             for path in [f"tests/data/{doc}.json" for doc in DOCS] + [KOSZUL]]
+    # chords between two components: a one-letter word closes up only on one
+    out += [
+        ["cyclic", TWO_CHORDS, "--window", "0..6"],
+        ["cyclic", TWO_CHORDS, "--window", "1..8"],
+        ["dga", TWO_CHORDS, "--check", "--bidegree"],
+    ]
     return [["--format", "machine", *argv] for argv in out]
 
 

@@ -24,7 +24,7 @@ from sftkit.ring import (
     RING_QU,
     ExactMatrix,
     UPoly,
-    _invariant_factors,
+    _rank_and_torsion,
     _rank_q,
     coerce,
     one,
@@ -383,7 +383,8 @@ def test_smith_kernel_matches_reference_and_sympy(m):
     res = smith_normal_form(m)
     assert res.factors == reference_smith_normal_form(m).factors
     assert res.factors == sympy_factors(m)
-    assert _invariant_factors(m) == res.factors
+    assert _rank_and_torsion(m) == (len(res.factors), tuple(
+        f for f in res.factors if m.ring != RING_Q and f.degree > 0))
     if m.ring == RING_Q:
         assert all(type(f) is Fraction and f == 1 for f in res.factors)
     else:
