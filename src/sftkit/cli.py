@@ -14,13 +14,12 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import cyclic as cyclic_mod
 from . import czindex, energy, models, trees
 from . import dga as dga_mod
 from .errors import BidegreeViolation, DomainError, DSquareNonzero
-from .ring import RING_QU, rat
+from .ring import parse_upoly, rat
 
 MACHINE_HEADER = "sftkit.machine/1"
 
@@ -43,6 +42,13 @@ def _emit(args, payload: dict, table_lines):
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _require(args, command: str, dests) -> None:
+    """ValueError naming every option of ``dests`` that was not given."""
+    missing = [f"--{dest.replace('_', '-')}" for dest in dests if getattr(args, dest) is None]
+    if missing:
+        raise ValueError(f"{command} needs {' '.join(missing)}")
 
 
 def _parse_window(text: str):
@@ -123,6 +129,7 @@ def _cmd_trees(args) -> int:
         value = trees.psi_reduced(forest)
         _emit(args, {"op": "psi_reduced", "value": value}, [str(value)])
     elif args.action == "psi-mixed":
+        _require(args, "trees psi-mixed", ("r_plus", "r_minus", "energy", "r_min"))
         value = trees.psi_mixed(forest, rat(args.r_plus), rat(args.r_minus),
                                 rat(args.energy), rat(args.r_min))
         _emit(args, {"op": "psi_mixed", "value": value}, [str(value)])
@@ -224,7 +231,7 @@ def _cmd_dga(args) -> int:
         _emit(args, {"op": "bidegree", "value": True}, ["bidegree (-1, 0)"])
     cx = None
     if args.linearize is not None:
-        eps = _load_eps(args.linearize, algebra)
+        eps = _load_eps(args.linearize)
         cx = dga_mod.linearize(algebra, dga_mod.augment(algebra, eps))
         if args.homology is None:
             payload = {"op": "linearize",
@@ -241,19 +248,12 @@ def _cmd_dga(args) -> int:
     return EXIT_OK
 
 
-def _load_eps(spec_txt: str, algebra) -> dict:
+def _load_eps(spec_txt: str) -> dict:
+    """The augmentation values of a JSON file, or none for ``zero``; ``augment``
+    then coerces each one into the algebra's ring."""
     if spec_txt == "zero":
         return {}
-    doc = _load_json(spec_txt)
-    out = {}
-    for name, value in doc.items():
-        if algebra.ring == RING_QU and isinstance(value, str) and "U" in value:
-            from .ring import parse_upoly
-
-            out[name] = parse_upoly(value)
-        else:
-            out[name] = Fraction(str(value))
-    return out
+    return {name: parse_upoly(str(value)) for name, value in _load_json(spec_txt).items()}
 
 
 def _emit_homology(args, summary, lo, hi, op, prefix) -> None:
@@ -282,7 +282,13 @@ def _cmd_cyclic(args) -> int:
 # model ------------------------------------------------------------------
 
 
+# the options each model action reads that have no default
+_MODEL_NEEDS = {"orbits": ("n", "a", "N"), "chords": ("n",), "ranks": ("n", "N"), "hc": ("n",),
+                "cone": ("k", "n", "top"), "parity": ("n", "a", "N"), "bound": ("a",)}
+
+
 def _cmd_model(args) -> int:
+    _require(args, f"model {args.model_action}", _MODEL_NEEDS.get(args.model_action, ()))
     if args.model_action in ("orbits", "chords"):
         # the two generator tables differ only in the cz column
         with_cz = args.model_action == "orbits"

@@ -44,7 +44,7 @@ from .dga import (
     refuse_long_words,
     word_basis,
 )
-from .errors import InfiniteBasis, TooLarge
+from .errors import TooLarge
 
 
 def _least_rotation(word: Word) -> Tuple[int, int]:
@@ -176,18 +176,16 @@ def _necklaces(letters: List[tuple], degree: int, link: int, reach: List[set]) -
 def cyclic_basis(dga: DGA, lo: int, hi: int, link: Optional[int] = None) -> Dict[int, Tuple[Word, ...]]:
     """Canonical words of the nonzero classes, per degree in [lo, hi].
 
-    Raises TooLarge, before enumerating any degree, when some degree's
-    predicted class count exceeds BASIS_LIMIT or, in associative
-    mode, when words of degree ``hi`` may exceed WORD_LENGTH_LIMIT letters.
+    Raises, before enumerating any degree, what ``refuse_long_words``
+    raises for degree ``hi``, and TooLarge when some degree's predicted
+    class count exceeds BASIS_LIMIT.
     """
-    if any(g.degree <= 0 for g in dga.generators.values()):
-        raise InfiniteBasis("cyclic bases need strictly positive generator degrees")
+    refuse_long_words(dga, hi)
     letters = _letters(dga, link)
     target = 0 if link is None else link
     degrees = range(max(lo, 1), hi + 1)
     out: Dict[int, Tuple[Word, ...]] = {k: () for k in range(lo, hi + 1)}
     if dga.mode == MODE_ASSOCIATIVE:
-        refuse_long_words(dga, hi)
         # rows are built in increasing degree, so an oversized window stops
         # at its first oversized degree
         table: List[Dict[tuple, int]] = [{}]
@@ -226,10 +224,10 @@ def cyclic_differential(dga: DGA, word: Word) -> Dict[Word, Coeff]:
     for term, coeff in dga._leibniz(word):
         raw[term] = raw[term] + coeff if term in raw else coeff
     raw.pop((), None)
-    table = dga._leibniz_table
+    ends, table = dga._ends, dga._leibniz_table
     acc: Dict[Word, Coeff] = {}
     for term, coeff in raw.items():
-        if not coeff or not _composable(table[term[-1]][1], table[term[0]][2]):
+        if not coeff or not _composable(ends[term[-1]][0], ends[term[0]][1]):
             continue
         cls = _rotate(term, [table[name][0] for name in term])
         if cls is None:

@@ -146,9 +146,13 @@ class DGA:
         self.mode = mode
         self.components = components
         self.generators = table
-        # name -> (source, target): a chord's endpoints in associative mode,
-        # (None, None) otherwise, which composes with anything
-        self._ends = {n: g.kind[1:] if g.is_chord and mode == MODE_ASSOCIATIVE else (None, None)
+        # name -> (position in the canonical order, parity): the Koszul sort key
+        self._order = {n: (i, g.parity) for i, (n, g) in enumerate(table.items())}
+        # chords can fail to compose only in an associative algebra over more
+        # than one component; there a chord's endpoints are (source, target),
+        # and every other letter has (None, None), which composes with anything
+        self._partial = mode == MODE_ASSOCIATIVE and components > 1
+        self._ends = {n: g.kind[1:] if g.is_chord and self._partial else (None, None)
                       for n, g in table.items()}
         diff: Dict[str, AlgebraElement] = {}
         for name, elem in (differential or {}).items():
@@ -156,16 +160,9 @@ class DGA:
                 raise ValueError(f"differential on unknown generator {name!r}")
             diff[name] = self.normalize_element(elem)
         self.differential = diff
-        # name -> (degree, source, target, d-terms) for the Leibniz rule, with
-        # each term of d(name) as (word, coeff, target of its first letter,
-        # source of its last letter)
-        ends = self._ends
-        self._leibniz_table = {
-            n: (g.degree, *ends[n], tuple(
-                (w, c, ends[w[0]][1], ends[w[-1]][0]) if w else (w, c, None, None)
-                for w, c in (diff[n].terms.items() if n in diff else ())))
-            for n, g in table.items()
-        }
+        # name -> (degree, the (word, coeff) terms of d(name)) for the Leibniz rule
+        self._leibniz_table = {n: (g.degree, tuple(diff[n].terms.items()) if n in diff else ())
+                               for n, g in table.items()}
 
     # basic structure -------------------------------------------------------
 
@@ -204,23 +201,15 @@ class DGA:
             self._check_composable(word)
             return word, coeff
 
-        letters = list(word)
-        sign = 1
-        # insertion sort; count transpositions of odd-degree pairs
-        for i in range(1, len(letters)):
-            j = i
-            while j > 0 and self._gen_key(letters[j - 1]) > self._gen_key(letters[j]):
-                if self.generators[letters[j - 1]].parity and self.generators[letters[j]].parity:
-                    sign = -sign
-                letters[j - 1], letters[j] = letters[j], letters[j - 1]
-                j -= 1
-        for a, b in zip(letters, letters[1:]):
-            if a == b and self.generators[a].parity:
-                return tuple(letters), zero(self.ring)
-        return tuple(letters), coeff * sign
-
-    def _gen_key(self, name: str) -> tuple:
-        return self.generators[name].sort_key()
+        order = self._order
+        letters = tuple(sorted(word, key=order.__getitem__))
+        # the sort moves odd letters past each other once per inversion among
+        # them; two equal odd letters end up adjacent, and their square is 0
+        odd = [order[g][0] for g in word if order[g][1]]
+        if len(set(odd)) < len(odd):
+            return letters, zero(self.ring)
+        flips = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+        return letters, -coeff if flips & 1 else coeff
 
     def _check_composable(self, word: Word):
         # c_{ij} = e_j c_{ij} e_i : the right unit of the left factor must
@@ -249,31 +238,21 @@ class DGA:
         ``word`` and term of that letter's differential: the raw word (not
         normalized, equal words not combined) and its coefficient.
 
-        In associative mode the words of the differential compose (they were
-        normalized), so a term composes when both seams around its
-        substituted word do and every junction of ``word`` that does not
-        compose touches the substituted letter.  Any other term is checked
-        whole, so NonComposable is raised on exactly the terms that do not
-        compose.
+        Where chords can fail to compose, each term is checked whole, so
+        NonComposable is raised on exactly the terms that do not compose.
         """
         table = self._leibniz_table
         try:
             info = [table[g] for g in word]
         except KeyError as exc:
             raise KeyError(f"unknown generator {exc.args[0]!r}") from None
-        last = len(word) - 1
-        bad = [j for j in range(last) if not _composable(info[j][1], info[j + 1][2])]
         odd = 0
-        for i, (degree, _, _, dterms) in enumerate(info):
+        for i, (degree, dterms) in enumerate(info):
             if dterms:
-                left = info[i - 1][1] if i else None
-                right = info[i + 1][2] if i < last else None
-                whole = not bad or all(i - 1 <= j <= i for j in bad)
                 prefix, suffix = word[:i], word[i + 1:]
-                for dword, dcoeff, first, end in dterms:
+                for dword, dcoeff in dterms:
                     term = prefix + dword + suffix
-                    if not (whole and (_composable(left, first) and _composable(end, right)
-                                       if dword else _composable(left, right))):
+                    if self._partial:
                         self._check_composable(term)
                     yield term, -dcoeff if odd else dcoeff
             odd ^= degree & 1
@@ -510,14 +489,15 @@ BASIS_LIMIT = 2000
 
 
 def refuse_long_words(dga: DGA, degree: int) -> None:
-    """Raise TooLarge when associative words of ``degree`` may be longer than
-    WORD_LENGTH_LIMIT letters (degree // least generator degree).  Bases with
-    generators of degree <= 0 are left to raise InfiniteBasis."""
-    least = min((g.degree for g in dga.generators.values()), default=0)
-    if dga.mode != MODE_ASSOCIATIVE or least <= 0:
-        return
-    length = degree // least
-    if length > WORD_LENGTH_LIMIT:
+    """The guard of every word basis: raise InfiniteBasis when a generator has
+    degree <= 0 (a graded piece is then not a finite module), then TooLarge
+    when associative words of ``degree`` may be longer than WORD_LENGTH_LIMIT
+    letters (degree // least generator degree)."""
+    degrees = [g.degree for g in dga.generators.values()]
+    if any(d <= 0 for d in degrees):
+        raise InfiniteBasis("word bases need strictly positive generator degrees")
+    length = degree // min(degrees) if degrees else 0
+    if dga.mode == MODE_ASSOCIATIVE and length > WORD_LENGTH_LIMIT:
         raise TooLarge(
             f"associative words of degree {degree} reach length {length} "
             f"(limit {WORD_LENGTH_LIMIT})"
@@ -580,10 +560,7 @@ def _normal_words(dga: DGA, letters: List[tuple], top: int) -> List[Dict[int, in
 
 def _refuse_large_word_bases(dga: DGA, lo: int, hi: int) -> None:
     """Raise TooLarge when a degree in [lo, hi] has more than BASIS_LIMIT
-    normalized words, counted from tables without listing any word.  Bases
-    with generators of degree <= 0 are left to raise InfiniteBasis."""
-    if hi < 1 or any(g.degree <= 0 for g in dga.generators.values()):
-        return
+    normalized words, counted from tables without listing any word."""
     letters = _letters(dga, None)
     if dga.mode == MODE_ASSOCIATIVE:
         table: List[Dict[tuple, int]] = [{}]
@@ -591,7 +568,7 @@ def _refuse_large_word_bases(dga: DGA, lo: int, hi: int) -> None:
             _add_composable_row(table, letters, False)
         counts = [sum(row.values()) for row in table]
     else:
-        counts = [row.get(0, 0) for row in _normal_words(dga, letters, hi)]
+        counts = [row.get(0, 0) for row in _normal_words(dga, letters, max(hi, 0))]
     for k in range(max(lo, 1), hi + 1):
         if counts[k] > BASIS_LIMIT:
             raise TooLarge(
@@ -601,14 +578,8 @@ def _refuse_large_word_bases(dga: DGA, lo: int, hi: int) -> None:
 
 def word_basis(dga: DGA, degree: int) -> Tuple[Word, ...]:
     """All normalized words of a given degree, requiring positive generator degrees."""
-    gens = sorted(dga.generators.values(), key=Generator.sort_key)
-    if any(g.degree <= 0 for g in gens):
-        raise InfiniteBasis("word bases need strictly positive generator degrees")
     refuse_long_words(dga, degree)
-    if degree < 0:
-        return ()
-    if degree == 0:
-        return ((),)
+    gens = tuple(dga.generators.values())
     out: List[Word] = []
     if dga.mode == MODE_COMMUTATIVE:
 
@@ -650,9 +621,9 @@ def word_complex(dga: DGA, lo: int, hi: int) -> ChainComplex:
     The complex is truncated below ``lo`` and above ``hi``: d_lo is not
     stored, so homology on [lo, hi] is read from the complex on
     [max(lo - 1, 0), hi + 1].
-    Raises TooLarge, before enumerating any degree, when some degree has more
-    than BASIS_LIMIT words or, in associative mode, when words of degree
-    ``hi`` may exceed WORD_LENGTH_LIMIT letters.
+    Raises, before enumerating any degree, what ``refuse_long_words`` raises
+    for degree ``hi``, and TooLarge when some degree has more than
+    BASIS_LIMIT words.
     """
     refuse_long_words(dga, hi)
     _refuse_large_word_bases(dga, lo, hi)

@@ -12,6 +12,7 @@ and eliminate fraction-free over Z (rank) and Z[U] (Smith form, both rings).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -218,15 +219,15 @@ def _at(p: UPoly, i: int) -> Fraction:
 
 
 def parse_upoly(text: str) -> UPoly:
-    """Parse strings like '2*U^2 - U + 1/2' (also bare rationals)."""
+    """Parse strings like '2*U^2 - U + 1/2' (also bare rationals and decimals)."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
-    s = s.replace("-", "+-")
+    s = re.sub(r"(?<![eE])-", "+-", s)
     if s.startswith("+"):
         s = s[1:]
     acc = UPoly()
-    for term in s.split("+"):
+    for term in re.split(r"(?<![eE])\+", s):
         if not term:
             raise ValueError(f"cannot parse polynomial {text!r}")
         neg = term.startswith("-")

@@ -429,6 +429,47 @@ def test_dga_linearize_qu_eps_file(tmp_path, capsys):
     assert err == "error: NotAChainMap: eps(d x) = -U^2 != 0\n"
 
 
+def test_eps_file_is_read_in_the_algebra_ring(tmp_path, capsys):
+    """Every augmentation value is parsed as a polynomial and coerced into the
+    algebra's ring: U over Q is refused by name, and decimals in exponent
+    form still read as the exact rationals they spell."""
+    doc = {**U_CONSTANT, "ring": "Q", "differential": {}}
+    algebra = tmp_path / "dga.json"
+    algebra.write_text(json.dumps(doc))
+    eps = tmp_path / "eps.json"
+    eps.write_text(json.dumps({"z": "U"}))
+    code, out, err = run_cli(capsys, "dga", str(algebra), "--linearize", str(eps))
+    assert (code, out) == (1, "")
+    assert err == "error: nonconstant polynomial U over Q\n"
+    for value in (1e-05, "2.5e+3", 0.5, -3):
+        eps.write_text(json.dumps({"z": value}))
+        code, out, _ = run_cli(capsys, "dga", str(algebra), "--linearize", str(eps),
+                               "--homology", "0..1")
+        assert code == 0
+        assert out.splitlines() == ["H_0: rank 1", "H_1: rank 1"]
+
+
+FOREST = str(DATA / "forest_two_level.json")
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["model", "orbits"], "model orbits needs --n --a --N"),
+    (["model", "orbits", "--n", "5", "--a", "10"], "model orbits needs --N"),
+    (["model", "chords"], "model chords needs --n"),
+    (["model", "ranks", "--n", "5"], "model ranks needs --N"),
+    (["model", "hc"], "model hc needs --n"),
+    (["model", "cone", "--k", "2"], "model cone needs --n --top"),
+    (["model", "parity", "--a", "12"], "model parity needs --n --N"),
+    (["model", "bound"], "model bound needs --a"),
+    (["trees", "psi-mixed", FOREST], "trees psi-mixed needs --r-plus --r-minus --energy --r-min"),
+    (["trees", "psi-mixed", FOREST, "--r-plus", "10", "--r-minus", "1", "--energy", "1/2"],
+     "trees psi-mixed needs --r-min"),
+])
+def test_missing_option_is_named_with_exit_1(capsys, argv, missing):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {missing}\n")
+
+
 def test_bidegree_names_a_term_of_the_wrong_linking_degree(tmp_path, capsys):
     doc = {
         "ring": "Q", "mode": "commutative",
@@ -486,9 +527,8 @@ def test_model_orbits_cli(capsys):
 
 
 def test_determinism_across_processes():
-    cmd = [sys.executable, "-m", "sftkit.cli", "--format", "machine",
-           "model", "ranks", "--n", "5", "--N", "12"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    argv = ("--format", "machine", "model", "ranks", "--n", "5", "--N", "12")
+    first = run_subprocess(*argv, timeout=60)
+    second = run_subprocess(*argv, timeout=60)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout

@@ -85,6 +85,39 @@ def test_normalize_idempotent_and_sign_involutive():
                 assert back == word and sign == (-1 if parity else 1)
 
 
+def koszul_reference(gens, word):
+    """Bubble sort by (degree, link, name), flipping the sign at each swap of
+    two odd letters; 0 once two equal odd letters sit side by side."""
+    key = {g.name: (g.degree, 0 if g.link is None else g.link, g.name) for g in gens}
+    odd = {g.name: g.degree % 2 for g in gens}
+    letters, sign = list(word), 1
+    for end in range(len(letters) - 1, 0, -1):
+        for j in range(end):
+            if key[letters[j]] > key[letters[j + 1]]:
+                if odd[letters[j]] and odd[letters[j + 1]]:
+                    sign = -sign
+                letters[j], letters[j + 1] = letters[j + 1], letters[j]
+    if any(a == b and odd[a] for a, b in zip(letters, letters[1:])):
+        sign = 0
+    return tuple(letters), sign
+
+
+@pytest.mark.parametrize("ring", [RING_Q, RING_QU])
+def test_koszul_sign_matches_bubble_sort(ring):
+    # ties in degree are broken by link (None counts as 0), then by name
+    gens = [Generator("p", 1, link=2), Generator("q", 1, link=0), Generator("r", 1, link=0),
+            Generator("s", 2, link=1), Generator("t", 3), Generator("u", 3, link=-1),
+            Generator("v", 4, link=1)]
+    d = DGA(ring, "commutative", gens)
+    names = [g.name for g in gens]
+    rng = seeded_rng(43)
+    for _ in range(400):
+        raw = tuple(rng.choice(names) for _ in range(rng.randint(0, 7)))
+        want, sign = koszul_reference(gens, raw)
+        word, coeff = d.normalize_word(raw, 3)
+        assert (word, coeff) == (want, 3 * sign), raw
+
+
 # differential ---------------------------------------------------------------
 
 

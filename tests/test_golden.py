@@ -129,6 +129,8 @@ def commands():
         ["cyclic", TWO_CHORDS, "--window", "1..8"],
         ["dga", TWO_CHORDS, "--check", "--bidegree"],
     ]
+    # a missing option is named (exit 1), not a traceback
+    out.append(["model", "hc"])
     return [["--format", "machine", *argv] for argv in out]
 
 
