@@ -194,6 +194,8 @@ def linearized_ranks(n: int, N: int) -> Dict[int, int]:
     """
     if n < 4:
         raise ValueError("the model requires n >= 4")
+    if N <= 0:
+        raise ValueError("window bound N must be positive")
     sigma1, sigma2 = sigma_sets(n, N)
     table = {k: 0 for k in range(1, N)}
     for k in sigma1:

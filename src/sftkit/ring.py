@@ -13,7 +13,6 @@ and eliminate fraction-free over Z (rank) and Z[U] (Smith form, both rings).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -29,7 +28,10 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
@@ -274,20 +276,45 @@ def one(ring: str):
     return coerce(ring, 1)
 
 
-@dataclass(frozen=True)
 class SmithResult:
     """Diagonalization L*M*R = D with unimodular L, R.
 
     ``factors`` lists the nonzero diagonal entries d_1 | d_2 | ..., unit
-    normalized (all 1 over Q, monic over Q[U]).
+    normalized (all 1 over Q, monic over Q[U]).  ``left_inverse`` and
+    ``right_inverse`` are either given or, for a result of
+    ``smith_normal_form``, built on first read by one more elimination of
+    ``source`` (the M) that tracks them, and then kept.
     """
 
-    factors: tuple
-    diagonal: "ExactMatrix"
-    left: "ExactMatrix"
-    right: "ExactMatrix"
-    left_inverse: "ExactMatrix"
-    right_inverse: "ExactMatrix"
+    __slots__ = ("factors", "diagonal", "left", "right", "_source", "_inverses")
+
+    def __init__(self, factors: tuple, diagonal: "ExactMatrix", left: "ExactMatrix",
+                 right: "ExactMatrix", left_inverse: "ExactMatrix" = None,
+                 right_inverse: "ExactMatrix" = None, source: "ExactMatrix" = None):
+        given = None if left_inverse is None else (left_inverse, right_inverse)
+        for name, value in (("factors", factors), ("diagonal", diagonal), ("left", left),
+                            ("right", right), ("_source", source), ("_inverses", given)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SmithResult is immutable")
+
+    def __reduce__(self):
+        return SmithResult, (self.factors, self.diagonal, self.left, self.right,
+                             *(self._inverses or (None, None)), self._source)
+
+    def _inverse_pair(self) -> tuple:
+        if self._inverses is None:
+            object.__setattr__(self, "_inverses", _smith_form(self._source, inverses=True)[4:])
+        return self._inverses
+
+    @property
+    def left_inverse(self) -> "ExactMatrix":
+        return self._inverse_pair()[0]
+
+    @property
+    def right_inverse(self) -> "ExactMatrix":
+        return self._inverse_pair()[1]
 
     def verify(self, m: "ExactMatrix") -> bool:
         return (self.left @ m) @ self.right == self.diagonal
@@ -479,21 +506,25 @@ class _Transform:
     """A unimodular transform built up one line operation at a time.
 
     ``fwd[i]`` is line i of the transform with integer entries (a row of L,
-    a column of R) and ``inv[i]`` the matching line of its inverse (a column
-    of L^-1, a row of R^-1) as (line, positive denominator).  Starts as the
-    identity of size n.
+    a column of R).  With ``inverse``, ``inv[i]`` is the matching line of its
+    inverse (a column of L^-1, a row of R^-1) as (line, positive
+    denominator); otherwise ``inv`` is None.  Starts as the identity of
+    size n.  Tracking the inverse changes no line of ``fwd``.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, inverse: bool):
         self.fwd = [{i: [1]} for i in range(n)]
-        self.inv = [({i: [1]}, 1) for i in range(n)]
+        self.inv = [({i: [1]}, 1) for i in range(n)] if inverse else None
 
     def apply(self, dst: int, src: int, a: int, b: int, sh: int, g: int) -> int:
-        """fwd[dst] := (a*fwd[dst] + b*U^sh*fwd[src]) / h and the inverse
-        update, for h the gcd of g and the new line's content; returns h."""
+        """fwd[dst] := (a*fwd[dst] + b*U^sh*fwd[src]) / h and, if tracked,
+        the inverse update, for h the gcd of g and the new line's content;
+        returns h."""
         line = _combine(self.fwd[dst], a, self.fwd[src], b, sh)
         h = gcd(g, _content(line))
         self.fwd[dst] = _divided(line, h)
+        if self.inv is None:
+            return h
         # E has row dst = (a*e_dst + b*U^sh*e_src)/h, so E^-1 has row
         # dst = (h*e_dst - b*U^sh*e_src)/a: inverse line dst scales by h/a
         # and inverse line src loses (b*U^sh/a) times the old line dst.
@@ -505,7 +536,7 @@ class _Transform:
         return h
 
 
-def _smith(m: ExactMatrix, transforms: bool):
+def _smith(m: ExactMatrix, transforms: bool, inverses: bool = False):
     """Fraction-free Smith elimination of ``m`` over Z[U], for both rings.
 
     Each row is cleared of denominators (a unit scaling over Q or Q[U]).
@@ -521,20 +552,22 @@ def _smith(m: ExactMatrix, transforms: bool):
     pivot whose column is clear drops the entries of its row it divides.
 
     Returns the reduced rows, the pivots (row, col) in divisibility order,
-    and the left and right transforms (None unless ``transforms``).
+    and the left and right transforms (None unless ``transforms``), which
+    track their inverses if ``inverses``.
     """
-    a, left = [], _Transform(m.nrows) if transforms else None
+    a, left = [], _Transform(m.nrows, inverses) if transforms else None
     for i, row in enumerate(m.entries):
         polys = [(j, (x,) if m.ring == RING_Q else x.coeffs) for j, x in sorted(row.items())]
         scale = lcm(*(c.denominator for _, p in polys for c in p))
         line = {j: [c.numerator * (scale // c.denominator) for c in p] for j, p in polys}
         if transforms:
             left.fwd[i] = {i: [scale]}
-            left.inv[i] = ({i: [1]}, scale)
+            if inverses:
+                left.inv[i] = ({i: [1]}, scale)
         else:
             line = _divided(line, _content(line) or 1)
         a.append(line)
-    right = _Transform(m.ncols) if transforms else None
+    right = _Transform(m.ncols, inverses) if transforms else None
 
     def row_op(dst, src, x, y, sh):
         line = _combine(a[dst], x, a[src], y, sh)
@@ -622,15 +655,11 @@ def _rank_and_torsion(m: ExactMatrix) -> tuple:
     return len(pivots), tuple(_monic(m.ring, a[r][c]) for r, c in pivots if len(a[r][c]) > 1)
 
 
-def smith_normal_form(m: ExactMatrix) -> SmithResult:
-    """Smith normal form over Q or Q[U] with exact transform certificates.
-
-    Returns unimodular ``left``/``right`` (with tracked inverses) such that
-    ``left @ m @ right`` is diagonal with the divisibility chain
-    d_1 | d_2 | ... ; the chain is unit-normalized.
-    """
+def _smith_form(m: ExactMatrix, inverses: bool) -> tuple:
+    """The factors, D, L and R of ``smith_normal_form(m)``, then L^-1 and
+    R^-1 if ``inverses``: tracking them leaves the elimination unchanged."""
     ring = m.ring
-    a, pivots, left, right = _smith(m, transforms=True)
+    a, pivots, left, right = _smith(m, transforms=True, inverses=inverses)
     # the pivots' rows and columns come first, in pivot order; the pivot rows
     # of L are divided by the pivot's leading coefficient to make D monic
     rows = [r for r, _ in pivots] + sorted(set(range(m.nrows)) - {r for r, _ in pivots})
@@ -653,12 +682,21 @@ def smith_normal_form(m: ExactMatrix) -> SmithResult:
     factors = tuple(_monic(ring, a[r][c]) for r, c in pivots)
     diag = [{s: factors[s]} if s < len(factors) else {} for s in range(m.nrows)]
     nr, nc = m.nrows, m.ncols
-    return SmithResult(
-        factors=factors,
-        diagonal=ExactMatrix._from_entries(ring, diag, nc),
-        left=square([entries(left.fwd[i], 1, lead.get(i, 1)) for i in rows], nr),
-        right=square([entries(right.fwd[j]) for j in cols], nc, transpose=True),
-        left_inverse=square([entries(left.inv[i][0], lead.get(i, 1), left.inv[i][1])
-                             for i in rows], nr, transpose=True),
-        right_inverse=square([entries(right.inv[j][0], 1, right.inv[j][1]) for j in cols], nc),
-    )
+    out = (factors, ExactMatrix._from_entries(ring, diag, nc),
+           square([entries(left.fwd[i], 1, lead.get(i, 1)) for i in rows], nr),
+           square([entries(right.fwd[j]) for j in cols], nc, transpose=True))
+    if inverses:
+        out += (square([entries(left.inv[i][0], lead.get(i, 1), left.inv[i][1])
+                        for i in rows], nr, transpose=True),
+                square([entries(right.inv[j][0], 1, right.inv[j][1]) for j in cols], nc))
+    return out
+
+
+def smith_normal_form(m: ExactMatrix) -> SmithResult:
+    """Smith normal form over Q or Q[U] with exact transform certificates.
+
+    Returns unimodular ``left``/``right`` such that ``left @ m @ right`` is
+    diagonal with the divisibility chain d_1 | d_2 | ... ; the chain is
+    unit-normalized.  Their inverses are built on first read.
+    """
+    return SmithResult(*_smith_form(m, inverses=False), source=m)

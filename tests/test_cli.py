@@ -470,6 +470,22 @@ def test_missing_option_is_named_with_exit_1(capsys, argv, missing):
     assert (code, out, err) == (1, "", f"error: {missing}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["cz", "--rotation", "1/0"],
+    ["energy", "--glue", "1/0", "2"],
+    ["energy", "--r-plus", "1/0", "--r-minus", "1", "--energy", "0"],
+], ids=["cz-rotation", "energy-glue", "energy-admissible"])
+def test_zero_denominator_exits_1_without_traceback(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: zero denominator in '1/0'\n")
+
+
+@pytest.mark.parametrize("bound", ["-2", "0"])
+def test_model_ranks_names_a_nonpositive_window_bound(capsys, bound):
+    code, out, err = run_cli(capsys, "model", "ranks", "--n", "5", "--N", bound)
+    assert (code, out, err) == (1, "", "error: window bound N must be positive\n")
+
+
 def test_bidegree_names_a_term_of_the_wrong_linking_degree(tmp_path, capsys):
     doc = {
         "ring": "Q", "mode": "commutative",

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (dense_matmul, dense_rank_q, det, evaluate, poly_gcd, rank,
                      reference_smith_normal_form, seeded_rng)
+import sftkit.ring as ring_mod
 from sftkit.dga import AlgebraElement
 from sftkit.ring import (
     RING_Q,
@@ -383,8 +384,10 @@ def test_smith_kernel_matches_reference_and_sympy(m):
     res = smith_normal_form(m)
     assert res.factors == reference_smith_normal_form(m).factors
     assert res.factors == sympy_factors(m)
-    assert _rank_and_torsion(m) == (len(res.factors), tuple(
-        f for f in res.factors if m.ring != RING_Q and f.degree > 0))
+    with pytest.MonkeyPatch.context() as patch:  # and builds no transform
+        patch.setattr(ring_mod, "_Transform", None)
+        assert _rank_and_torsion(m) == (len(res.factors), tuple(
+            f for f in res.factors if m.ring != RING_Q and f.degree > 0))
     if m.ring == RING_Q:
         assert all(type(f) is Fraction and f == 1 for f in res.factors)
     else:
@@ -415,3 +418,67 @@ def test_smith_5x5_worst_case_is_certified_quickly():
     assert res.verify(m)
     assert time.perf_counter() - start < 5
     assert res.factors == sympy_factors(m)
+
+
+def test_rat_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator in '3/0'"):
+        coerce(RING_Q, "3/0")
+
+
+# The inverses of L and R are built on first read, by a second elimination.
+
+
+def test_smith_normal_form_does_no_inverse_work(monkeypatch):
+    # _reduced is the last step of every update of an inverse line, and
+    # nothing else calls it
+    updates = []
+    reduced = ring_mod._reduced
+    monkeypatch.setattr(ring_mod, "_reduced",
+                        lambda line, den: updates.append(den) or reduced(line, den))
+    m = benchmark_qu_matrix(random.Random(2), 5)
+    res = smith_normal_form(m)
+    assert updates == []
+    # the rebuild goes through the private kernel, not the public name
+    monkeypatch.setattr(ring_mod, "smith_normal_form", None)
+    assert res.left @ res.left_inverse == ExactMatrix.identity(RING_QU, 5)
+    assert updates
+
+
+def test_smith_inverses_are_cached_and_leave_the_form_alone():
+    m = benchmark_qu_matrix(random.Random(2), 5)
+    res = smith_normal_form(m)
+    before = (res.factors, res.diagonal, res.left, res.right)
+    left_inverse, right_inverse = res.left_inverse, res.right_inverse
+    assert res.left_inverse is left_inverse and res.right_inverse is right_inverse
+    assert all(x is y for x, y in zip((res.factors, res.diagonal, res.left, res.right), before))
+    fresh = smith_normal_form(m)
+    assert (fresh.factors, fresh.diagonal, fresh.left, fresh.right) == before
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_smith_result_pickle_roundtrip(read_first):
+    m = benchmark_qu_matrix(random.Random(2), 4)
+    res = smith_normal_form(m)
+    if read_first:
+        res.left_inverse
+    back = pickle.loads(pickle.dumps(res))
+    assert (back.factors, back.diagonal, back.left, back.right) == (
+        res.factors, res.diagonal, res.left, res.right)
+    assert (back.left_inverse, back.right_inverse) == (res.left_inverse, res.right_inverse)
+
+
+@pytest.mark.parametrize("m", [
+    ExactMatrix(RING_QU, []),
+    ExactMatrix(RING_QU, [[0, 0, 0], [0, 0, 0]]),
+    random_qu_matrix(seeded_rng(5), 1, 4),
+    random_qu_matrix(seeded_rng(6), 4, 1),
+    ExactMatrix(RING_Q, [[Fraction(1, 2), 3, 0], [2, Fraction(-5, 3), 1], [0, 4, Fraction(7, 2)]]),
+    benchmark_qu_matrix(random.Random(2), 5),
+], ids=["0x0", "all-zero", "1x4", "4x1", "Q", "benchmark-5x5"])
+def test_smith_inverses_invert_the_stored_transforms(m):
+    res = smith_normal_form(m)
+    assert res.verify(m)
+    assert res.left @ res.left_inverse == ExactMatrix.identity(m.ring, m.nrows)
+    assert res.right @ res.right_inverse == ExactMatrix.identity(m.ring, m.ncols)
+    assert res.left_inverse @ res.left == ExactMatrix.identity(m.ring, m.nrows)
+    assert res.right_inverse @ res.right == ExactMatrix.identity(m.ring, m.ncols)
