@@ -75,8 +75,11 @@ def _cmd_cz(args) -> int:
         value = czindex.rs_shear(blocks, loop_k)
         _emit(args, {"op": "shear", "value": str(value)}, [str(value)])
     elif args.crossing is not None:
-        path = czindex.PathSpec("rotation", lam_end=rat(args.crossing))
-        value = czindex.cz_crossing(path, subdivisions=args.subdivisions)
+        try:
+            lam = float(rat(args.crossing))
+        except OverflowError:
+            raise ValueError(f"--crossing {args.crossing} is too large for a float") from None
+        value = czindex.cz_crossing(lambda t: lam * t, subdivisions=args.subdivisions)
         _emit(args, {"op": "crossing", "value": value}, [str(value)])
     elif args.gamma1 is not None:
         p_u, a, base = args.gamma1
@@ -189,7 +192,11 @@ def _cmd_energy(args) -> int:
         _emit(args, {"op": "type_a", "value": str(value)}, [str(value)])
     elif args.type_b is not None:
         doc = _load_json(args.type_b)
-        d = energy.TypeBDecomposition([tuple(rat(str(x)) for x in row) for row in doc["samples"]])
+        try:
+            d = energy.TypeBDecomposition([tuple(rat(str(x)) for x in row)
+                                           for row in doc["samples"]])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed samples document: {exc}") from exc
         res = energy.type_b_energy(d)
         _emit(args, {"op": "type_b", "value": str(res.energy),
                      "induced_at_zero": str(res.induced_at_zero),
@@ -253,7 +260,10 @@ def _load_eps(spec_txt: str) -> dict:
     then coerces each one into the algebra's ring."""
     if spec_txt == "zero":
         return {}
-    return {name: parse_upoly(str(value)) for name, value in _load_json(spec_txt).items()}
+    doc = _load_json(spec_txt)
+    if not isinstance(doc, dict):
+        raise ValueError("malformed augmentation document: not a JSON object")
+    return {name: parse_upoly(str(value)) for name, value in doc.items()}
 
 
 def _emit_homology(args, summary, lo, hi, op, prefix) -> None:

@@ -14,7 +14,6 @@ trajectory ends on an integer is rejected as degenerate rather than rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -27,11 +26,14 @@ Scalar = Union[int, float, Fraction]
 
 
 def _floor_guarded(x: Scalar, tol: float = INTEGER_TOL) -> int:
-    """Floor that refuses values within tol of an integer (exact ints excepted)."""
+    """Floor that refuses values within tol of an integer (exact ints excepted)
+    with DegeneratePath, and infinities and NaN with ValueError."""
     if isinstance(x, (int, Fraction)):
         if x == int(x):
             raise DegeneratePath(f"value {x} is an integer")
         return math.floor(x)
+    if not math.isfinite(x):
+        raise ValueError(f"value {x} is not a finite number")
     nearest = round(x)
     if abs(x - nearest) < tol:
         raise DegeneratePath(f"value {x} is within {tol} of the integer {nearest}")
@@ -63,66 +65,24 @@ def rs_shear(blocks: int, loop_k: int = 0) -> Fraction:
     return Fraction(blocks, 2) + 2 * loop_k
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    """A symplectic path from one of the families this toolkit computes with.
-
-    family "rotation": eigenvalue trajectory lam(t) = t * lam_end.
-    family "elliptic_local": lam(t) = t * c * period, the local model block.
-    family "monotone_exp": a user-supplied strictly increasing trajectory
-    lam(t) with lam(0) = 0, sampled by a callable; such trajectories arise
-    from paths generated by positive-definite forms.
-    family "shear": `blocks` unit shear blocks with `loop_k` full loops
-    appended; degenerate, so it is graded by the half-integer index and has
-    no eigenvalue trajectory.
-    """
-
-    family: str
-    lam_end: Optional[Scalar] = None
-    c: Optional[Scalar] = None
-    period: Optional[Scalar] = None
-    trajectory: Optional[Callable[[float], float]] = None
-    blocks: Optional[int] = None
-    loop_k: int = 0
-
-    def eigenvalue(self, t: float) -> float:
-        if self.family == "rotation":
-            return float(self.lam_end) * t
-        if self.family == "elliptic_local":
-            if self.c is None or self.period is None or self.c <= 0 or self.period <= 0:
-                raise ValueError("elliptic_local needs positive c and period")
-            return float(self.c) * float(self.period) * t
-        if self.family == "monotone_exp":
-            if self.trajectory is None:
-                raise ValueError("monotone_exp needs a trajectory callable")
-            return self.trajectory(t)
-        if self.family == "shear":
-            raise ValueError("shear paths have no monotone eigenvalue trajectory")
-        raise ValueError(f"unknown path family {self.family!r}")
-
-
-def cz_crossing(path: PathSpec, subdivisions: int = 256) -> int:
+def cz_crossing(lam: Callable[[float], float], subdivisions: int = 256) -> int:
     """Index 1 + 2 * #{t in (0,1) : lam(t) integer} for a monotone trajectory.
 
-    The trajectory is sampled on a grid of ``subdivisions`` steps, where it
-    must be strictly increasing from 0; it then crosses each integer below
-    lam(1) once, so the count is floor(lam(1)).  A trajectory ending within
-    tolerance of an integer raises DegeneratePath.
+    ``lam`` is the eigenvalue trajectory t -> lam(t).  It is sampled on a grid
+    of ``subdivisions`` steps, where it must be strictly increasing from 0; it
+    then crosses each integer below lam(1) once, so the count is
+    floor(lam(1)).  A trajectory ending within tolerance of an integer raises
+    DegeneratePath.
     """
     if subdivisions < 2:
         raise ValueError("need at least two subdivisions")
-    lam = path.eigenvalue
     if abs(lam(0.0)) > INTEGER_TOL:
         raise ValueError("trajectory must start at 0")
     values = [lam(i / subdivisions) for i in range(subdivisions + 1)]
     for a, b in zip(values, values[1:]):
         if b <= a:
             raise ValueError("eigenvalue trajectory is not strictly increasing on the grid")
-    end = values[-1]
-    if abs(end - round(end)) < INTEGER_TOL:
-        raise DegeneratePath(f"trajectory ends at {end}, within tolerance of an integer")
-
-    return 1 + 2 * math.floor(end)
+    return 1 + 2 * _floor_guarded(values[-1])
 
 
 class GammaOrbitResult(NamedTuple):
@@ -151,18 +111,13 @@ def cz_gamma_orbit(
     """
     a = float(a)
     P_U = float(P_U)
-    if a <= 0 or P_U <= 0:
-        raise ValueError("a and P_U must be positive")
+    if not (0 < a < math.inf and 0 < P_U < math.inf):
+        raise ValueError("a and P_U must be positive and finite")
 
     if kind == "gamma1":
+        period = P_U
         lam_end = a * P_U / (4 * math.pi)
-        try:
-            fl = _floor_guarded(lam_end)
-        except DegeneratePath as exc:
-            raise GenericityViolated(str(exc)) from exc
-        return GammaOrbitResult(1 + 2 * fl + cz_base, P_U)
-
-    if kind == "gamma2":
+    elif kind == "gamma2":
         if extra is None:
             raise ValueError("gamma2 requires (r0, m, n_cover)")
         r0, m, n = extra
@@ -178,13 +133,13 @@ def cz_gamma_orbit(
             )
         period = (2.0 - r0 * r0) * 2.0 * math.pi * m / a
         lam_end = a * period / (math.pi * (2.0 - r0 * r0) ** 2)
-        try:
-            fl = _floor_guarded(lam_end)
-        except DegeneratePath as exc:
-            raise GenericityViolated(str(exc)) from exc
-        return GammaOrbitResult(1 + 2 * fl + cz_base, period)
-
-    raise ValueError(f"unknown orbit kind {kind!r}")
+    else:
+        raise ValueError(f"unknown orbit kind {kind!r}")
+    try:
+        fl = _floor_guarded(lam_end)
+    except DegeneratePath as exc:
+        raise GenericityViolated(str(exc)) from exc
+    return GammaOrbitResult(1 + 2 * fl + cz_base, period)
 
 
 class NormalIndexData(NamedTuple):

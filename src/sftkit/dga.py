@@ -16,14 +16,16 @@ of free modules, with torsion invariant factors over Q[U].
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
 from .errors import (BidegreeViolation, DSquareNonzero, InfiniteBasis, NonComposable,
-                     NotAChainMap, TooLarge)
-from .ring import RING_Q, RING_QU, ExactMatrix, UPoly, _rank_and_torsion, coerce, one, rat, zero
+                     NotAChainMap, NotSupported, TooLarge)
+from .ring import (RING_Q, RING_QU, ExactMatrix, UPoly, _rank_and_torsion, _sparse_product,
+                   coerce, one, rat, zero)
 
 Coeff = Union[Fraction, UPoly]
 Word = Tuple[str, ...]
@@ -384,8 +386,9 @@ class ChainComplex:
 
 def _check_square_zero(cx: ChainComplex, degrees: Iterable[int]) -> None:
     """Raise DSquareNonzero unless d_{k-1} d_k = 0 for every k in ``degrees``
-    where both boundaries are stored.  The product is taken row by row on
-    sparse rows; integral rationals become ints, whose arithmetic is faster."""
+    where both boundaries are stored.  The product is ``ring._sparse_product``
+    on the sparse rows, with integral rationals made ints, whose arithmetic
+    is faster."""
     sparse: Dict[int, List[Dict[int, Coeff]]] = {}
 
     def rows(k: int) -> List[Dict[int, Coeff]]:
@@ -400,14 +403,8 @@ def _check_square_zero(cx: ChainComplex, degrees: Iterable[int]) -> None:
     for k in sorted(degrees):
         if k not in cx.boundary or k - 1 not in cx.boundary:
             continue
-        upper = rows(k)
-        for row in rows(k - 1):
-            image: Dict[int, Coeff] = {}
-            for i, w in row.items():
-                for j, v in upper[i].items():
-                    image[j] = image[j] + w * v if j in image else w * v
-            if any(image.values()):
-                raise DSquareNonzero(f"d^2 != 0 from degree {k}")
+        if any(_sparse_product(rows(k - 1), rows(k))):
+            raise DSquareNonzero(f"d^2 != 0 from degree {k}")
 
 
 def _text(x) -> str:
@@ -621,10 +618,15 @@ def word_complex(dga: DGA, lo: int, hi: int) -> ChainComplex:
     The complex is truncated below ``lo`` and above ``hi``: d_lo is not
     stored, so homology on [lo, hi] is read from the complex on
     [max(lo - 1, 0), hi + 1].
-    Raises, before enumerating any degree, what ``refuse_long_words`` raises
-    for degree ``hi``, and TooLarge when some degree has more than
-    BASIS_LIMIT words.
+    Raises, before enumerating any degree, NotSupported when the window holds
+    degree 0 and the algebra is associative over more than one component (one
+    empty word stands for one idempotent per component), what
+    ``refuse_long_words`` raises for degree ``hi``, and TooLarge when some
+    degree has more than BASIS_LIMIT words.
     """
+    if dga._partial and lo <= 0 <= hi:
+        raise NotSupported(f"the word complex over {dga.components} components has one empty "
+                           f"word for {dga.components} idempotents, so degree 0 is not computed")
     refuse_long_words(dga, hi)
     _refuse_large_word_bases(dga, lo, hi)
     basis = {k: word_basis(dga, k) for k in range(lo, hi + 1)}
@@ -694,12 +696,12 @@ def dga_from_doc(doc: dict) -> DGA:
     try:
         ring = doc["ring"]
         mode = doc["mode"]
-        components = int(doc.get("components", 1))
+        components = operator.index(doc.get("components", 1))
         gens = [
             Generator(
                 name=str(g["name"]),
-                degree=int(g["deg"]),
-                link=None if g.get("link") is None else int(g["link"]),
+                degree=operator.index(g["deg"]),
+                link=None if g.get("link") is None else operator.index(g["link"]),
                 good=bool(g.get("good", True)),
                 kind=_kind_from_str(g.get("kind", "orbit")),
             )
@@ -711,7 +713,7 @@ def dga_from_doc(doc: dict) -> DGA:
             for entry in entries:
                 word = tuple(str(x) for x in entry["word"])
                 q = rat(str(entry["coeff"]))
-                add = coerce(ring, UPoly.monomial(int(entry.get("upow", 0)), q))
+                add = coerce(ring, UPoly.monomial(operator.index(entry.get("upow", 0)), q))
                 terms[word] = terms[word] + add if word in terms else add
             diff[name] = AlgebraElement(ring, terms)
     except (KeyError, TypeError) as exc:

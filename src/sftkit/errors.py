@@ -56,7 +56,9 @@ class BoundaryConditionViolated(DomainError):
 
 
 class NotSupported(DomainError):
-    """Energy gluing without a symplectization factor is not well behaved."""
+    """A computation sftkit does not model: energy gluing without a
+    symplectization factor, or the word complex in degree 0 of an
+    associative algebra over more than one component."""
 
 
 class NonComposable(DomainError):

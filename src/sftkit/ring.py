@@ -75,17 +75,6 @@ class UPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def monic(self) -> "UPoly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return UPoly([c / lead for c in self.coeffs])
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -149,33 +138,6 @@ class UPoly:
             base = base * base
             n >>= 1
         return out
-
-    def divmod(self, other: "UPoly"):
-        """Exact Euclidean division: self = q*other + r with deg r < deg other."""
-        other = _as_poly(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
-        rem = list(self.coeffs)
-        dlead = other.leading()
-        dd = other.degree
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            shift = len(rem) - 1 - dd
-            factor = rem[-1] / dlead
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-        return UPoly(q), UPoly(rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def evaluate(self, s) -> Fraction:
         s = rat(s)
@@ -277,31 +239,27 @@ def one(ring: str):
 
 
 class SmithResult:
-    """Diagonalization L*M*R = D with unimodular L, R.
+    """Diagonalization L*M*R = D with unimodular L, R of ``source`` (the M).
 
     ``factors`` lists the nonzero diagonal entries d_1 | d_2 | ..., unit
     normalized (all 1 over Q, monic over Q[U]).  ``left_inverse`` and
-    ``right_inverse`` are either given or, for a result of
-    ``smith_normal_form``, built on first read by one more elimination of
-    ``source`` (the M) that tracks them, and then kept.
+    ``right_inverse`` are built on first read by one more elimination of
+    ``source`` that tracks them, and then kept.
     """
 
     __slots__ = ("factors", "diagonal", "left", "right", "_source", "_inverses")
 
     def __init__(self, factors: tuple, diagonal: "ExactMatrix", left: "ExactMatrix",
-                 right: "ExactMatrix", left_inverse: "ExactMatrix" = None,
-                 right_inverse: "ExactMatrix" = None, source: "ExactMatrix" = None):
-        given = None if left_inverse is None else (left_inverse, right_inverse)
+                 right: "ExactMatrix", source: "ExactMatrix"):
         for name, value in (("factors", factors), ("diagonal", diagonal), ("left", left),
-                            ("right", right), ("_source", source), ("_inverses", given)):
+                            ("right", right), ("_source", source), ("_inverses", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("SmithResult is immutable")
 
     def __reduce__(self):
-        return SmithResult, (self.factors, self.diagonal, self.left, self.right,
-                             *(self._inverses or (None, None)), self._source)
+        return SmithResult, (self.factors, self.diagonal, self.left, self.right, self._source)
 
     def _inverse_pair(self) -> tuple:
         if self._inverses is None:
@@ -387,20 +345,29 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring != other.ring or self.ncols != other.nrows:
             raise ValueError("incompatible matrices")
-        out = []
-        for line in self.entries:
-            acc = {}
-            for k, x in line.items():
-                for j, y in other.entries[k].items():
-                    acc[j] = acc[j] + x * y if j in acc else x * y
-            out.append({j: v for j, v in acc.items() if v})
-        return ExactMatrix._from_entries(self.ring, out, other.ncols)
+        return ExactMatrix._from_entries(self.ring, _sparse_product(self.entries, other.entries),
+                                         other.ncols)
 
     def __str__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
         return f"[{body}]"
 
     __repr__ = __str__
+
+
+def _sparse_product(left_rows: Sequence[dict], right_rows: Sequence[dict]) -> list:
+    """The product of two matrices given by the nonzero entries of their rows
+    ({col: coeff} dicts, as in ``ExactMatrix.entries``), in the same form:
+    each row of the product is built from the rows of ``right_rows`` that the
+    entries of one row of ``left_rows`` select."""
+    out = []
+    for line in left_rows:
+        acc = {}
+        for k, x in line.items():
+            for j, y in right_rows[k].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 def _primitive(vec: dict) -> dict:
@@ -699,4 +666,4 @@ def smith_normal_form(m: ExactMatrix) -> SmithResult:
     diagonal with the divisibility chain d_1 | d_2 | ... ; the chain is
     unit-normalized.  Their inverses are built on first read.
     """
-    return SmithResult(*_smith_form(m, inverses=False), source=m)
+    return SmithResult(*_smith_form(m, inverses=False), m)

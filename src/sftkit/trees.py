@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -453,8 +454,8 @@ def forest_from_doc(doc: dict) -> DecoratedForest:
         vertices = [
             Vertex(
                 vid=str(v["id"]),
-                level=(int(v["level"][0]), int(v["level"][1])),
-                s=int(v["s"]),
+                level=(operator.index(v["level"][0]), operator.index(v["level"][1])),
+                s=operator.index(v["s"]),
                 representable=bool(v.get("representable", True)),
                 ends_in_v=bool(v.get("ends_in_v", False)),
             )
@@ -465,13 +466,13 @@ def forest_from_doc(doc: dict) -> DecoratedForest:
                 eid=str(e["id"]),
                 src=None if e.get("src") is None else str(e["src"]),
                 dst=None if e.get("dst") is None else str(e["dst"]),
-                level=int(e["orbit"].get("level", 0)),
+                level=operator.index(e["orbit"].get("level", 0)),
                 orbit=OrbitLabel(
                     name=str(e["orbit"]["name"]),
                     in_v=bool(e["orbit"].get("in_v", False)),
-                    p_n=int(e["orbit"].get("p_n", 0)),
+                    p_n=operator.index(e["orbit"].get("p_n", 0)),
                     period=float(e["orbit"].get("period", 0.0)),
-                    link=None if e["orbit"].get("link") is None else int(e["orbit"]["link"]),
+                    link=None if e["orbit"].get("link") is None else operator.index(e["orbit"]["link"]),
                 ),
             )
             for e in doc["edges"]

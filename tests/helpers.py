@@ -20,15 +20,18 @@ homology path, the oracles for ``ring._rank_q`` and ``dga.homology``.
 ``reference_smith_normal_form`` (with ``_euclid``) is the original Smith
 form, a Euclidean loop over Fractions and ``UPoly`` that updates all four
 transforms at every step: the oracle for ``ring.smith_normal_form`` and its
-fraction-free kernel.  ``poly_gcd`` is the monic Euclidean gcd in Q[U].
+fraction-free kernel.  It returns a ``ReferenceSmith`` with the field names
+of ``ring.SmithResult``.  Euclidean division in Q[U] lives here too, since
+only the tests divide polynomials: ``poly_divmod``, ``leading``, ``monic``
+and ``poly_gcd``, the monic Euclidean gcd.
 
 ``det`` (division-free cofactor expansion), ``rank`` (with ``_rank_qu``,
 fraction-free elimination over Q(U)), ``dense_matmul`` (the oracle for the
 sparse ``ExactMatrix.__matmul__``), ``evaluate`` (U := s) and
 ``boundary_matrix`` (a stored boundary or the zero matrix) are matrix
 operations that only the tests use; so are ``multiply`` and ``scaled``
-(algebra elements), ``exterior_orbit_multiset`` (forests), ``path_index``
-(index by path family), ``triangle_third_bounds``, ``check_triangle_ranks``
+(algebra elements), ``exterior_orbit_multiset`` (forests),
+``triangle_third_bounds``, ``check_triangle_ranks``
 and ``index_consistency`` (model tables).
 
 ``reference_exp_scaled_compare``, ``reference_interior_orbit_bound`` and
@@ -46,17 +49,17 @@ import os
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import mpmath
 
-from sftkit.czindex import PathSpec, cz_crossing, rs_shear
+from sftkit.czindex import rs_shear
 from sftkit.dga import (DGA, AlgebraElement, ChainComplex, Coeff, HomologySummary, Word,
                         word_basis)
 from sftkit.energy import EQUALITY_TOLERANCE
 from sftkit.errors import InfiniteBasis, NonComposable, UnresolvedComparison
 from sftkit.models import FAMILY_ORBIT_A, FAMILY_ORBIT_B, GeneratorTable
-from sftkit.ring import (RING_Q, ExactMatrix, SmithResult, UPoly, _as_poly, _rank_q, coerce, one,
+from sftkit.ring import (RING_Q, ExactMatrix, UPoly, _as_poly, _rank_q, coerce, one,
                          smith_normal_form, zero)
 from sftkit.trees import DecoratedForest, Edge, OrbitLabel, Vertex
 
@@ -408,15 +411,52 @@ def boundary_matrix(cx: ChainComplex, k: int) -> ExactMatrix:
     return ExactMatrix(cx.ring, [[z] * cx.dim(k) for _ in range(cx.dim(k - 1))])
 
 
-# reference Smith form ----------------------------------------------------------
+# Euclidean division in Q[U] and the reference Smith form ------------------------
+
+
+def leading(p: UPoly) -> Fraction:
+    """The leading coefficient of a nonzero polynomial."""
+    if p.is_zero():
+        raise ZeroDivisionError("zero polynomial has no leading coefficient")
+    return p.coeffs[-1]
+
+
+def monic(p: UPoly) -> UPoly:
+    """``p`` divided by its leading coefficient; zero stays zero."""
+    if p.is_zero():
+        return p
+    lead = leading(p)
+    return UPoly([c / lead for c in p.coeffs])
+
+
+def poly_divmod(a: UPoly, b: UPoly) -> Tuple[UPoly, UPoly]:
+    """Exact Euclidean division: a = q*b + r with deg r < deg b, as (q, r)."""
+    b = _as_poly(b)
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    q = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 1)
+    rem = list(a.coeffs)
+    dlead = leading(b)
+    dd = b.degree
+    while len(rem) - 1 >= dd and any(c != 0 for c in rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dd:
+            break
+        shift = len(rem) - 1 - dd
+        factor = rem[-1] / dlead
+        q[shift] = factor
+        for i, c in enumerate(b.coeffs):
+            rem[shift + i] -= factor * c
+    return UPoly(q), UPoly(rem)
 
 
 def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
     """Monic gcd in Q[U] by the Euclidean algorithm."""
     a, b = _as_poly(a), _as_poly(b)
     while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+        a, b = b, poly_divmod(a, b)[1]
+    return monic(a)
 
 
 def _euclid(ring: str):
@@ -435,10 +475,22 @@ def _euclid(ring: str):
         lead = p.coeffs[-1]
         return UPoly.const(lead), UPoly.const(1 / lead)
 
-    return (lambda p: p.degree), UPoly.divmod, unit
+    return (lambda p: p.degree), poly_divmod, unit
 
 
-def reference_smith_normal_form(m: ExactMatrix) -> SmithResult:
+class ReferenceSmith(NamedTuple):
+    """The reference Smith form: left @ m @ right == diagonal, with the
+    inverses it tracked alongside."""
+
+    factors: tuple
+    diagonal: ExactMatrix
+    left: ExactMatrix
+    right: ExactMatrix
+    left_inverse: ExactMatrix
+    right_inverse: ExactMatrix
+
+
+def reference_smith_normal_form(m: ExactMatrix) -> ReferenceSmith:
     """Smith normal form over Q or Q[U] with exact transform certificates.
 
     Returns unimodular ``left``/``right`` (with tracked inverses) such that
@@ -555,7 +607,7 @@ def reference_smith_normal_form(m: ExactMatrix) -> SmithResult:
         factors.append(a[i][i])
 
     diag = ExactMatrix(ring, a)
-    return SmithResult(
+    return ReferenceSmith(
         factors=tuple(factors),
         diagonal=diag,
         left=ExactMatrix(ring, left),
@@ -586,20 +638,6 @@ def scaled(elem: AlgebraElement, factor) -> AlgebraElement:
 def exterior_orbit_multiset(forest: DecoratedForest) -> tuple:
     labels = [e.orbit.key() for e in forest.input_edges() + forest.output_edges()]
     return tuple(sorted(labels))
-
-
-def path_index(path: PathSpec, subdivisions: int = 256):
-    """Index of a path by the method its family admits.
-
-    Rotation and local-model blocks go through the crossing count (equal to the
-    closed form); shear blocks get the half-integer index with the loop
-    shift.
-    """
-    if path.family == "shear":
-        if path.blocks is None:
-            raise ValueError("shear paths need a block count")
-        return rs_shear(path.blocks, path.loop_k)
-    return cz_crossing(path, subdivisions=subdivisions)
 
 
 def triangle_third_bounds(

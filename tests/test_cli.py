@@ -486,6 +486,77 @@ def test_model_ranks_names_a_nonpositive_window_bound(capsys, bound):
     assert (code, out, err) == (1, "", "error: window bound N must be positive\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cz", "--gamma1", "1", "inf", "0"], "a and P_U must be positive and finite"),
+    (["cz", "--gamma1", "1e308", "1e308", "0"], "value inf is not a finite number"),
+    (["cz", "--gamma2", "inf", "10", "3", "0.6", "1", "1"],
+     "a and P_U must be positive and finite"),
+    (["cz", "--crossing", "1e400"], "--crossing 1e400 is too large for a float"),
+], ids=["gamma1-inf", "gamma1-overflow", "gamma2-inf", "crossing-overflow"])
+def test_non_finite_cz_input_exits_1_without_traceback(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc", [
+    [[0, 1, 0, 0, 1]],
+    {"samples": [[0, 1, 0, 0]]},
+], ids=["list-document", "short-row"])
+def test_malformed_type_b_document_exits_1(tmp_path, capsys, doc):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "energy", "--type-b", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed samples document: ")
+
+
+def test_malformed_augmentation_document_exits_1(tmp_path, capsys):
+    eps = tmp_path / "eps.json"
+    eps.write_text(json.dumps(["z", 1]))
+    code, out, err = run_cli(capsys, "dga", str(DATA / "exact_pair.json"), "--linearize", str(eps))
+    assert (code, out, err) == (1, "", "error: malformed augmentation document: "
+                                       "not a JSON object\n")
+
+
+def test_non_integral_upow_exits_1(tmp_path, capsys):
+    doc = {**U_CONSTANT, "differential": {"x": [{"coeff": "1", "upow": 1.7, "word": ["z"]}]}}
+    path = tmp_path / "dga.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "dga", str(path), "--homology", "0..2")
+    assert (code, out) == (1, "")
+    assert err == ("error: malformed algebra document: "
+                   "'float' object cannot be interpreted as an integer\n")
+
+
+# two components, chords x: 0 -> 0 and y: 1 -> 1 of degree 1 with dx = dy = 1:
+# acyclic, but its word complex has one empty word in degree 0
+TWO_LOOPS = {
+    "ring": "Q", "mode": "associative", "components": 2,
+    "generators": [{"name": "x", "deg": 1, "kind": "chord:0:0"},
+                   {"name": "y", "deg": 1, "kind": "chord:1:1"}],
+    "differential": {"x": [{"coeff": "1", "word": []}], "y": [{"coeff": "1", "word": []}]},
+}
+
+
+@pytest.mark.parametrize("doc, window, code", [
+    (TWO_LOOPS, "0..2", 2), (TWO_LOOPS, "1..2", 2), (TWO_LOOPS, "2..3", 0),
+    ("two_chords_q.json", "0..3", 2),
+], ids=["loops-0..2", "loops-1..2", "loops-2..3", "two-chords-0..3"])
+def test_word_homology_over_several_components_refuses_degree_0(tmp_path, capsys, doc, window,
+                                                                 code):
+    if isinstance(doc, dict):
+        path = tmp_path / "dga.json"
+        path.write_text(json.dumps(doc))
+    else:
+        path = DATA / doc
+    got, out, err = run_cli(capsys, "dga", str(path), "--homology", window)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: NotSupported: the word complex over 2 ")
+    else:
+        assert out.splitlines() == ["H_2: rank 0", "H_3: rank 0"]
+
+
 def test_bidegree_names_a_term_of_the_wrong_linking_degree(tmp_path, capsys):
     doc = {
         "ring": "Q", "mode": "commutative",

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import path_index, seeded_rng
+from helpers import seeded_rng
 from sftkit.czindex import (
-    PathSpec,
     cz_crossing,
     cz_direct_sum,
     cz_gamma_orbit,
@@ -43,10 +42,10 @@ def test_shear_loop_property():
 
 
 def test_crossing_examples():
-    assert cz_crossing(PathSpec("rotation", lam_end=0.9)) == 1
-    assert cz_crossing(PathSpec("rotation", lam_end=2.4)) == 5
+    assert cz_crossing(lambda t: 0.9 * t) == 1
+    assert cz_crossing(lambda t: 2.4 * t) == 5
     with pytest.raises(DegeneratePath):
-        cz_crossing(PathSpec("rotation", lam_end=3.0))
+        cz_crossing(lambda t: 3.0 * t)
 
 
 def test_crossing_agrees_with_rotation_formula():
@@ -55,16 +54,14 @@ def test_crossing_agrees_with_rotation_formula():
         lam = rng.uniform(0.01, 9.99)
         if abs(lam - round(lam)) < 1e-6:
             lam += 0.01
-        assert cz_crossing(PathSpec("rotation", lam_end=lam)) == cz_rotation(lam)
+        assert cz_crossing(lambda t: lam * t) == cz_rotation(lam)
 
 
 def test_crossing_on_nonlinear_monotone_path():
     # lam(t) = 2.4 * t^2 is strictly increasing with the same endpoint.
-    path = PathSpec("monotone_exp", trajectory=lambda t: 2.4 * t * t)
-    assert cz_crossing(path) == 5
+    assert cz_crossing(lambda t: 2.4 * t * t) == 5
     # crossings clustered near t = 1 are still isolated
-    cubic = PathSpec("monotone_exp", trajectory=lambda t: 9.9 * t ** 3)
-    assert cz_crossing(cubic, subdivisions=64) == 1 + 2 * 9
+    assert cz_crossing(lambda t: 9.9 * t ** 3, subdivisions=64) == 1 + 2 * 9
 
 
 def test_crossing_samples_only_the_grid():
@@ -75,28 +72,15 @@ def test_crossing_samples_only_the_grid():
         calls.append(t)
         return 7.5 * t + math.sin(3 * t) / 10
 
-    path = PathSpec("monotone_exp", trajectory=trajectory)
     for subdivisions in (2, 8, 256):
         calls.clear()
-        assert cz_crossing(path, subdivisions=subdivisions) == 1 + 2 * 7
+        assert cz_crossing(trajectory, subdivisions=subdivisions) == 1 + 2 * 7
         assert len(calls) == subdivisions + 2  # t = 0 once more, checking the start
 
 
 def test_crossing_rejects_nonmonotone():
-    path = PathSpec("monotone_exp", trajectory=lambda t: math.sin(7 * t))
     with pytest.raises(ValueError):
-        cz_crossing(path)
-
-
-def test_elliptic_local_family():
-    assert cz_crossing(PathSpec("elliptic_local", c=1.3, period=1.0)) == cz_rotation(1.3)
-
-
-def test_path_index_dispatch():
-    assert path_index(PathSpec("rotation", lam_end=1.3)) == 3
-    assert path_index(PathSpec("shear", blocks=3, loop_k=2)) == Fraction(11, 2)
-    with pytest.raises(ValueError):
-        cz_crossing(PathSpec("shear", blocks=3))
+        cz_crossing(lambda t: math.sin(7 * t))
 
 
 def test_gamma1_examples():

@@ -25,7 +25,7 @@ from sftkit.dga import (
     word_basis,
     word_complex,
 )
-from sftkit.errors import DSquareNonzero, NonComposable, NotAChainMap, TooLarge
+from sftkit.errors import DSquareNonzero, NonComposable, NotAChainMap, NotSupported, TooLarge
 from sftkit.ring import RING_Q, RING_QU, ExactMatrix, UPoly
 
 DATA = Path(__file__).parent / "data"
@@ -323,6 +323,40 @@ def test_word_complex_unit_survives():
     summary = homology(word_complex(d, 0, 7), 0, 6)
     assert summary[0].free_rank == 1
     assert all(summary[k].free_rank == 0 for k in range(1, 7))
+
+
+def test_word_complex_over_several_components_refuses_degree_0():
+    # over one idempotent per component, degree 0 of the base is not one empty
+    # word, so a window holding degree 0 is refused and one above it is not
+    x, y = Generator("x", 1, kind=("chord", 0, 0)), Generator("y", 1, kind=("chord", 1, 1))
+    unit = AlgebraElement(RING_Q, {(): 1})
+    d = make_q(MODE_ASSOCIATIVE, [x, y], {"x": unit, "y": unit}, components=2)
+    for lo, hi in ((0, 0), (0, 3)):
+        with pytest.raises(NotSupported, match="over 2 components"):
+            word_complex(d, lo, hi)
+    summary = homology(word_complex(d, 1, 4), 2, 3)
+    assert summary == {2: (0, ()), 3: (0, ())}
+    one = make_q(MODE_ASSOCIATIVE, [x], {"x": unit})
+    assert homology(word_complex(one, 0, 2), 0, 1) == {0: (0, ()), 1: (0, ())}
+
+
+@pytest.mark.parametrize("field, where", [
+    ("deg", lambda doc: doc["generators"][0]),
+    ("link", lambda doc: doc["generators"][0]),
+    ("upow", lambda doc: doc["differential"]["a"][0]),
+    ("components", lambda doc: doc),
+], ids=["deg", "link", "upow", "components"])
+@pytest.mark.parametrize("value", [1.5, 2.0, float("inf")], ids=["fraction", "2.0", "inf"])
+def test_document_refuses_non_integral_numbers(field, where, value):
+    # every count, degree and exponent must be a JSON integer: 1.5 was read
+    # as 1, and 2.0 is refused alike rather than rounded
+    doc = {"ring": "QU", "mode": "commutative", "components": 1,
+           "generators": [{"name": "a", "deg": 2, "link": 1}, {"name": "b", "deg": 1, "link": 1}],
+           "differential": {"a": [{"coeff": "1", "upow": 0, "word": ["b"]}]}}
+    dga_from_doc(doc)
+    where(doc)[field] = value
+    with pytest.raises(ValueError, match="malformed algebra document: 'float' object cannot"):
+        dga_from_doc(doc)
 
 
 def test_word_basis_counts():

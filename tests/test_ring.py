@@ -16,8 +16,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (dense_matmul, dense_rank_q, det, evaluate, poly_gcd, rank,
-                     reference_smith_normal_form, seeded_rng)
+from helpers import (dense_matmul, dense_rank_q, det, evaluate, leading, monic, poly_divmod,
+                     poly_gcd, rank, reference_smith_normal_form, seeded_rng)
 import sftkit.ring as ring_mod
 from sftkit.dga import AlgebraElement
 from sftkit.ring import (
@@ -69,7 +69,7 @@ def test_poly_parsing_roundtrip():
 
 
 def test_poly_divmod():
-    q, r = (U ** 3 + U + 1).divmod(U ** 2 + 1)
+    q, r = poly_divmod(U ** 3 + U + 1, U ** 2 + 1)
     assert q == U and r == UPoly.const(1)
     assert poly_gcd(U ** 2 - 1, U ** 2 - 2 * U + 1) == U - 1
 
@@ -93,7 +93,7 @@ def test_smith_shear_block():
     res = smith_normal_form(m)
     assert list(res.factors) == [UPoly.const(1), U ** 2]
     assert res.verify(m)
-    assert det(m).monic() == (res.factors[0] * res.factors[1]).monic()
+    assert monic(det(m)) == monic(res.factors[0] * res.factors[1])
 
 
 def test_smith_transforms_are_certified():
@@ -105,7 +105,7 @@ def test_smith_transforms_are_certified():
         assert (res.left @ res.left_inverse) == ExactMatrix.identity(RING_QU, m.nrows)
         assert (res.right @ res.right_inverse) == ExactMatrix.identity(RING_QU, m.ncols)
         for a, b in zip(res.factors, res.factors[1:]):
-            assert (b % a).is_zero()
+            assert poly_divmod(b, a)[1].is_zero()
 
 
 def test_smith_matches_minor_gcd_oracle_3x3():
@@ -116,7 +116,7 @@ def test_smith_matches_minor_gcd_oracle_3x3():
         product = UPoly.const(1)
         for k, f in enumerate(res.factors, start=1):
             product = product * f
-            assert product.monic() == minor_gcd_oracle(m, k)
+            assert monic(product) == minor_gcd_oracle(m, k)
         if len(res.factors) < 3:
             assert minor_gcd_oracle(m, len(res.factors) + 1).is_zero()
 
@@ -148,7 +148,7 @@ def test_smith_edge_shapes():
                 prod = UPoly.const(1)
                 for g in res.factors[:k]:
                     prod = prod * g
-                assert prod.monic() == minor_gcd_oracle(m, k)
+                assert monic(prod) == minor_gcd_oracle(m, k)
 
 
 @given(st.fractions(), st.fractions())
@@ -168,7 +168,7 @@ def test_upoly_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) - b == a
     if not b.is_zero():
-        q, r = a.divmod(b)
+        q, r = poly_divmod(a, b)
         assert q * b + r == a
         assert r.is_zero() or r.degree < b.degree
 
@@ -391,9 +391,9 @@ def test_smith_kernel_matches_reference_and_sympy(m):
     if m.ring == RING_Q:
         assert all(type(f) is Fraction and f == 1 for f in res.factors)
     else:
-        assert all(f.leading() == 1 for f in res.factors)
+        assert all(leading(f) == 1 for f in res.factors)
         for a, b in zip(res.factors, res.factors[1:]):
-            assert (b % a).is_zero()
+            assert poly_divmod(b, a)[1].is_zero()
     assert res.diagonal.rows == tuple(
         tuple(res.factors[i] if i == j and i < len(res.factors) else zero(m.ring)
               for j in range(m.ncols)) for i in range(m.nrows))

@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,7 @@ from sftkit.trees import (
     psi_reduced,
 )
 
+DATA = Path(__file__).parent / "data"
 IN_V = OrbitLabel("g", in_v=True, p_n=1, period=1.0)
 OUT_V = OrbitLabel("h", in_v=False, p_n=0, period=1.0)
 
@@ -308,6 +310,23 @@ def test_document_roundtrip():
         again = forest_from_doc(json.loads(json.dumps(doc)))
         assert again == forest
         assert forest_to_doc(again) == doc
+
+
+@pytest.mark.parametrize("path", [("vertices", 0, "s"), ("vertices", 0, "level", 1),
+                                  ("edges", 0, "orbit", "p_n"), ("edges", 0, "orbit", "level"),
+                                  ("edges", 0, "orbit", "link")],
+                         ids=["s", "vertex-level", "p_n", "edge-level", "link"])
+def test_document_refuses_non_integral_numbers(path):
+    doc = json.loads((DATA / "forest_two_level.json").read_text())
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    forest_from_doc(doc)
+    for value in (1.5, 1.0):  # 1.5 was read as 1; an integral float is refused alike
+        target[last] = value
+        with pytest.raises(ValueError, match="malformed forest document: 'float' object cannot"):
+            forest_from_doc(doc)
 
 
 def two_level_forest():
