@@ -61,6 +61,27 @@ def _parse_window(text: str):
     return lo, hi
 
 
+def _nonnegative(text: str) -> int:
+    """An integer >= 0; ArgumentTypeError otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return value
+
+
+def _int_list(text: str) -> list:
+    """A comma-separated list of integers; ArgumentTypeError if an item is
+    empty or not an integer."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
+
+
 # cz -------------------------------------------------------------------------
 
 
@@ -95,8 +116,7 @@ def _cmd_cz(args) -> int:
                      "alpha_minus": data.alpha_minus, "alpha_plus": data.alpha_plus},
               [f"p_n {data.p_n}", f"alpha- {data.alpha_minus}", f"alpha+ {data.alpha_plus}"])
     else:  # --sum, the one operation left in the group
-        parts = [int(x) for x in args.sum.split(",") if x]
-        value = czindex.cz_direct_sum(parts)
+        value = czindex.cz_direct_sum(args.sum)
         _emit(args, {"op": "sum", "value": value}, [str(value)])
     return EXIT_OK
 
@@ -376,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--gamma2", nargs=6, type=float,
                     metavar=("P_U", "A", "CZBASE", "R0", "M", "N"))
     op.add_argument("--normal", type=int)
-    op.add_argument("--sum", type=str)
+    op.add_argument("--sum", type=_int_list)
     cz.add_argument("--negative", action="store_true")
     cz.add_argument("--subdivisions", type=int, default=256)
     cz.set_defaults(func=_cmd_cz)
@@ -430,16 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def model_action(name, *needs):
         # every option in needs is required; --rho goes with --a, as the
-        # interior orbit bound reads them together
+        # interior orbit bound reads them together; a window top is >= 0
         action = model_actions.add_parser(name)
         for flag in needs:
-            action.add_argument(flag, type=float if flag == "--a" else int, required=True)
+            action.add_argument(flag, type={"--a": float, "--top": _nonnegative}.get(flag, int),
+                                required=True)
         if "--a" in needs:
             action.add_argument("--rho", type=float, default=3.141592653589793)
         return action
 
     model_action("orbits", "--n", "--a", "--N")
-    model_action("chords", "--n").add_argument("--max-link", type=int, default=2)
+    model_action("chords", "--n").add_argument("--max-link", type=_nonnegative, default=2)
     model_action("ranks", "--n", "--N")
     model_action("hc", "--n")
     model_action("cone", "--k", "--n", "--top")

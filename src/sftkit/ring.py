@@ -46,10 +46,7 @@ class UPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _COEFFS.__set__(self, _trimmed([rat(c) for c in coeffs]))
 
     def __setattr__(self, *a):
         raise AttributeError("UPoly is immutable")
@@ -60,13 +57,13 @@ class UPoly:
 
     @staticmethod
     def const(c) -> "UPoly":
-        return UPoly([rat(c)])
+        return _poly([rat(c)])
 
     @staticmethod
     def monomial(exponent: int, coeff=1) -> "UPoly":
         if exponent < 0:
             raise ValueError("exponents must be nonnegative")
-        return UPoly([0] * exponent + [coeff])
+        return _poly([_ZERO] * exponent + [rat(coeff)])
 
     @property
     def degree(self) -> int:
@@ -94,19 +91,28 @@ class UPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly([_at(self, i) + _at(other, i) for i in range(n)])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UPoly([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = list(self.coeffs)
+        out.extend([_ZERO] * (len(other.coeffs) - len(out)))
+        for i, c in enumerate(other.coeffs):
+            out[i] -= c
+        return _poly(out)
 
     def __rsub__(self, other):
         return _as_poly(other) - self
@@ -115,22 +121,26 @@ class UPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UPoly(out)
+        short, long = (other, self) if len(other.coeffs) <= len(self.coeffs) else (self, other)
+        if len(short.coeffs) <= 1:
+            # a constant scales the other operand, and 1 leaves it as it is
+            if not short.coeffs:
+                return short
+            c = short.coeffs[0]
+            return long if c == 1 else _poly([c * x for x in long.coeffs])
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(short.coeffs):
+            if a:
+                for j, b in enumerate(long.coeffs, i):
+                    out[j] += a * b
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = UPoly.const(1)
+        out = _poly([Fraction(1)])
         base = self
         while n:
             if n & 1:
@@ -170,16 +180,30 @@ class UPoly:
     __repr__ = __str__
 
 
+_ZERO = Fraction(0)
+_COEFFS = UPoly.coeffs  # the slot, set directly past the immutability guard
+
+
+def _trimmed(cs: list) -> tuple:
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _poly(cs: list) -> UPoly:
+    """The UPoly with coefficients ``cs``, a list of Fractions taken as they
+    are (no coercion), without its trailing zeros."""
+    p = object.__new__(UPoly)
+    _COEFFS.__set__(p, _trimmed(cs))
+    return p
+
+
 def _as_poly(x):
     if isinstance(x, UPoly):
         return x
     if isinstance(x, (int, Fraction)):
-        return UPoly.const(x)
+        return _poly([rat(x)])
     return NotImplemented
-
-
-def _at(p: UPoly, i: int) -> Fraction:
-    return p.coeffs[i] if i < len(p.coeffs) else Fraction(0)
 
 
 def parse_upoly(text: str) -> UPoly:
@@ -416,34 +440,46 @@ def _rank_q(rows) -> int:
 # matrix (a row, or a column) is a dict {index: poly} of its nonzero entries.
 
 
-def _padd(p, a: int, q, b: int, sh: int) -> list:
-    """a*p + b*U^sh*q."""
+def _padd(p, a: int, q, b) -> list:
+    """a*p + b*q, for an int a and an int or integer polynomial b."""
+    if isinstance(b, int):
+        b = (b,)
     out = [a * c for c in p]
-    if len(out) < len(q) + sh:
-        out.extend([0] * (len(q) + sh - len(out)))
-    for k, c in enumerate(q, sh):
-        out[k] += b * c
+    if q:
+        n = len(q) + len(b) - 1
+        if len(out) < n:
+            out += [0] * (n - len(out))
+        for k, x in enumerate(b):
+            if x:
+                for c in q:
+                    out[k] += x * c
+                    k += 1
     while out and not out[-1]:
         out.pop()
     return out
 
 
-def _combine(x: dict, a: int, y: dict, b: int, sh: int) -> dict:
-    """The line a*x + b*U^sh*y."""
+def _combine(x: dict, a: int, y: dict, b) -> dict:
+    """The line a*x + b*y, for an int a and an int or integer polynomial b."""
     out = {}
     for j, p in x.items():
         q = y.get(j)
-        r = _padd(p, a, q, b, sh) if q else [a * c for c in p]
+        r = _padd(p, a, q, b) if q else [a * c for c in p]
         if r:
             out[j] = r
     for j, q in y.items():
         if j not in x:
-            out[j] = [0] * sh + [b * c for c in q]
+            out[j] = _padd((), 0, q, b)
     return out
 
 
 def _content(line: dict) -> int:
-    return gcd(*(c for p in line.values() for c in p))
+    g = 0
+    for p in line.values():
+        g = gcd(g, *p)
+        if g == 1:
+            break
+    return g
 
 
 def _divided(line: dict, g: int) -> dict:
@@ -456,13 +492,49 @@ def _reduced(line: dict, den: int) -> tuple:
     return _divided(line, g), den // g
 
 
+def _pstep(r: list, q: list) -> tuple:
+    """One pseudo-division step of r by q, for deg r >= deg q: (x, y, r')
+    for a positive int x and an int y such that r' = x*r - y*U^sh*q, with
+    sh = deg r - deg q, has lower degree than r (x and y are the cofactors
+    of the two leading coefficients)."""
+    g = gcd(q[-1], r[-1])
+    x, y = q[-1] // g, r[-1] // g
+    if x < 0:
+        x, y = -x, -y
+    out = [x * c for c in r]
+    for k, c in enumerate(q, len(r) - len(q)):
+        out[k] -= y * c
+    while out and not out[-1]:
+        out.pop()
+    return x, y, out
+
+
+def _pquo(p: list, q: list) -> tuple:
+    """The pseudo-quotient of p by q (Knuth, TAOCP vol. 2, 4.6.1, Algorithm
+    R): (a, b) for a positive int a and an integer polynomial b such that
+    a*p - b*q has lower degree than q, built from the steps of ``_pstep``.
+    For a constant q it is b = p/g and a = q/g, with g = gcd(q, content(p))."""
+    if len(q) == 1:
+        g = gcd(q[0], *p)
+        a, b = q[0] // g, [c // g for c in p]
+        return (a, b) if a > 0 else (-a, [-c for c in b])
+    a, b, r = 1, [], p
+    while len(r) >= len(q):
+        sh = len(r) - len(q)
+        x, y, r = _pstep(r, q)
+        b = [x * c for c in b] or [0] * (sh + 1)
+        b[sh] = y
+        a *= x
+    h = gcd(a, *b)
+    return (a, b) if h == 1 else (a // h, [c // h for c in b])
+
+
 def _divides(p: list, x: list) -> bool:
     """Whether p divides x over Q[U], by pseudo-division on primitive parts."""
     if len(p) == 1:
         return True
     while len(x) >= len(p):
-        g = gcd(p[-1], x[-1])
-        x = _padd(x, p[-1] // g, p, -(x[-1] // g), len(x) - len(p))
+        x = _pstep(x, p)[2]
         h = gcd(*x)
         if h > 1:
             x = [c // h for c in x]
@@ -483,23 +555,25 @@ class _Transform:
         self.fwd = [{i: [1]} for i in range(n)]
         self.inv = [({i: [1]}, 1) for i in range(n)] if inverse else None
 
-    def apply(self, dst: int, src: int, a: int, b: int, sh: int, g: int) -> int:
-        """fwd[dst] := (a*fwd[dst] + b*U^sh*fwd[src]) / h and, if tracked,
-        the inverse update, for h the gcd of g and the new line's content;
-        returns h."""
-        line = _combine(self.fwd[dst], a, self.fwd[src], b, sh)
-        h = gcd(g, _content(line))
+    def apply(self, dst: int, src: int, a: int, b, g: int) -> int:
+        """fwd[dst] := (a*fwd[dst] + b*fwd[src]) / h, for a positive int a
+        and an int or integer polynomial b, and, if tracked, the inverse
+        update; h is the gcd of g and the new line's content (1 when g is,
+        without reading the line).  Returns h."""
+        line = _combine(self.fwd[dst], a, self.fwd[src], b)
+        h = 1 if g == 1 else gcd(g, _content(line))
         self.fwd[dst] = _divided(line, h)
         if self.inv is None:
             return h
-        # E has row dst = (a*e_dst + b*U^sh*e_src)/h, so E^-1 has row
-        # dst = (h*e_dst - b*U^sh*e_src)/a: inverse line dst scales by h/a
-        # and inverse line src loses (b*U^sh/a) times the old line dst.
+        # E has row dst = (a*e_dst + b*e_src)/h, so E^-1 has row
+        # dst = (h*e_dst - b*e_src)/a: inverse line dst scales by h/a
+        # and inverse line src loses (b/a) times the old line dst.
         (nd, dd), (ns, ds) = self.inv[dst], self.inv[src]
-        den = lcm(ds, abs(a) * dd)
-        self.inv[src] = _reduced(_combine(ns, den // ds, nd, -b * (den // (a * dd)), sh), den)
-        f = h if a > 0 else -h
-        self.inv[dst] = _reduced({j: [c * f for c in p] for j, p in nd.items()}, dd * abs(a))
+        den = lcm(ds, a * dd)
+        k = -(den // (a * dd))
+        self.inv[src] = _reduced(
+            _combine(ns, den // ds, nd, k * b if isinstance(b, int) else [k * c for c in b]), den)
+        self.inv[dst] = _reduced({j: [c * h for c in p] for j, p in nd.items()}, dd * a)
         return h
 
 
@@ -509,13 +583,13 @@ def _smith(m: ExactMatrix, transforms: bool, inverses: bool = False):
     Each row is cleared of denominators (a unit scaling over Q or Q[U]).
     A pivot of least degree, on the shortest row, is chosen among the
     unfinished rows; every other entry of its column and row is reduced by
-    pseudo-division steps line_i := (a*line_i - b*U^sh*line_s)/g, where a, b
-    are the cofactors of the two leading coefficients and g is the content
-    of the new line of A together with its line of the transform (so a/g
-    is a unit of Q[U]).  A remainder that survives becomes the pivot, as in
-    the Euclidean algorithm, and a pivot that does not divide the rest of
-    the block takes the offending row added to its own.  Over Q every
-    entry is a constant and one step clears it.  Without transforms, a
+    one operation line_i := (a*line_i - b*line_s)/g, where a and b(U) are
+    the pseudo-quotient of the entry by the pivot (``_pquo``; for a constant
+    pivot, b is the entry itself over a gcd) and g is the content of the new
+    line of A together with its line of the transform (so a/g is a unit of
+    Q[U]).  A remainder that survives becomes the pivot, as in the
+    Euclidean algorithm, and a pivot that does not divide the rest of the
+    block takes the offending row added to its own.  Without transforms, a
     pivot whose column is clear drops the entries of its row it divides.
 
     Returns the reduced rows, the pivots (row, col) in divisibility order,
@@ -536,30 +610,28 @@ def _smith(m: ExactMatrix, transforms: bool, inverses: bool = False):
         a.append(line)
     right = _Transform(m.ncols, inverses) if transforms else None
 
-    def row_op(dst, src, x, y, sh):
-        line = _combine(a[dst], x, a[src], y, sh)
+    def row_op(dst, src, x, y):
+        line = _combine(a[dst], x, a[src], y)
         g = _content(line)
-        g = left.apply(dst, src, x, y, sh, g) if transforms else g or 1
+        g = left.apply(dst, src, x, y, g) if transforms else g or 1
         a[dst] = _divided(line, g)
 
-    def col_op(dst, src, x, y, sh):
-        new = {i: _padd(a[i].get(dst, ()), x, a[i].get(src, ()), y, sh)
+    def col_op(dst, src, x, y):
+        new = {i: _padd(a[i].get(dst, ()), x, a[i].get(src, ()), y)
                for i in live if dst in a[i] or src in a[i]}
-        g = gcd(*(c for p in new.values() for c in p))
-        g = right.apply(dst, src, x, y, sh, g) if transforms else g or 1
+        g = _content(new)
+        g = right.apply(dst, src, x, y, g) if transforms else g or 1
         for i, p in new.items():
             if p:
                 a[i][dst] = [c // g for c in p] if g > 1 else p
             else:
                 del a[i][dst]
 
-    def reduce(op, dst, src, p, q):
-        # one pseudo-division step of entry p (line dst) by pivot q (line src)
-        g = gcd(p[-1], q[-1])
-        x, y = q[-1] // g, -(p[-1] // g)
-        if x < 0:
-            x, y = -x, -y
-        op(dst, src, x, y, len(p) - len(q))
+    def clear(op, dst, src, p, q):
+        # line dst := x*line dst - b*line src, for b the pseudo-quotient of
+        # its entry p by the pivot q: one operation leaves the remainder
+        x, b = _pquo(p, q)
+        op(dst, src, x, [-k for k in b])
 
     live = list(range(m.nrows))  # rows without a finished pivot
     pivots = []
@@ -576,8 +648,8 @@ def _smith(m: ExactMatrix, transforms: bool, inverses: bool = False):
         while True:
             dirty = False
             for i in live:
-                while i != r and c in a[i] and len(a[i][c]) >= len(a[r][c]):
-                    reduce(row_op, i, r, a[i][c], a[r][c])
+                if i != r and c in a[i] and len(a[i][c]) >= len(a[r][c]):
+                    clear(row_op, i, r, a[i][c], a[r][c])
                 if i != r and c in a[i]:
                     r, dirty = i, True
             if dirty:
@@ -589,8 +661,8 @@ def _smith(m: ExactMatrix, transforms: bool, inverses: bool = False):
             if not transforms and all(_divides(p, x) for x in a[r].values()):
                 a[r] = {c: p}
             for j in list(a[r]):
-                while j != c and j in a[r] and len(a[r][j]) >= len(a[r][c]):
-                    reduce(col_op, j, c, a[r][j], a[r][c])
+                if j != c and j in a[r] and len(a[r][j]) >= len(a[r][c]):
+                    clear(col_op, j, c, a[r][j], a[r][c])
                 if j != c and j in a[r]:
                     c, dirty = j, True
             if dirty:
@@ -601,14 +673,14 @@ def _smith(m: ExactMatrix, transforms: bool, inverses: bool = False):
                         and not all(_divides(p, x) for x in a[i].values())), None)
             if bad is None:
                 break
-            row_op(r, bad, 1, 1, 0)
+            row_op(r, bad, 1, 1)
         live.remove(r)
         pivots.append((r, c))
     return a, pivots, left, right
 
 
 def _monic(ring: str, p: list):
-    return Fraction(1) if ring == RING_Q else UPoly([Fraction(c, p[-1]) for c in p])
+    return Fraction(1) if ring == RING_Q else _poly([Fraction(c, p[-1]) for c in p])
 
 
 def _rank_and_torsion(m: ExactMatrix) -> tuple:
@@ -636,7 +708,7 @@ def _smith_form(m: ExactMatrix, inverses: bool) -> tuple:
     def entries(line, num=1, den=1):
         if ring == RING_Q:
             return {j: Fraction(p[0] * num, den) for j, p in line.items()}
-        return {j: UPoly([Fraction(c * num, den) for c in p]) for j, p in line.items()}
+        return {j: _poly([Fraction(c * num, den) for c in p]) for j, p in line.items()}
 
     def square(lines, n, transpose=False):
         if transpose:

@@ -523,6 +523,36 @@ def test_oversized_cz_and_model_requests_are_refused(capsys, argv, message):
     assert err.startswith(f"error: TooLarge: {message}")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["model", "cone", "--k", "2", "--n", "5", "--top", "-3"],
+     "argument --top: '-3' is not a nonnegative integer"),
+    (["model", "chords", "--n", "6", "--max-link", "-3"],
+     "argument --max-link: '-3' is not a nonnegative integer"),
+    (["model", "cone", "--k", "2", "--n", "5", "--top", "x"],
+     "argument --top: 'x' is not a nonnegative integer"),
+    (["cz", "--sum", "1,,2"], "argument --sum: '1,,2' is not a comma-separated list of integers"),
+    (["cz", "--sum", ""], "argument --sum: '' is not a comma-separated list of integers"),
+    (["cz", "--sum", "1,2,"], "argument --sum: '1,2,' is not a comma-separated list of integers"),
+    (["cz", "--sum", "1,x"], "argument --sum: '1,x' is not a comma-separated list of integers"),
+], ids=["cone-top", "chords-max-link", "cone-top-word", "sum-inner", "sum-empty",
+        "sum-trailing", "sum-word"])
+def test_malformed_window_top_link_bound_and_sum_are_refused(capsys, argv, message):
+    # a negative --top or --max-link printed the bare table header, and an
+    # empty item of --sum was skipped (1,,2 summed to 3, the empty list to 0)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_zero_window_top_and_link_bound_are_tables(capsys):
+    code, out, _ = run_cli(capsys, "model", "cone", "--k", "2", "--n", "5", "--top", "0")
+    assert (code, out) == (0, " deg  rank\n   0  0\n")
+    code, out, _ = run_cli(capsys, "--format", "machine", "model", "chords", "--n", "6",
+                           "--max-link", "0")
+    assert code == 0 and machine_payload(out) == {"op": "chords", "rows": []}
+    code, out, _ = run_cli(capsys, "cz", "--sum", "-4")
+    assert (code, out) == (0, "-4\n")
+
+
 @pytest.mark.parametrize("reader, path, edit, message", [
     ("dga", "exact_pair.json", lambda doc: doc.update(differential=[]),
      "malformed algebra document: differential is not a JSON object"),

@@ -482,3 +482,123 @@ def test_smith_inverses_invert_the_stored_transforms(m):
     assert res.right @ res.right_inverse == ExactMatrix.identity(m.ring, m.ncols)
     assert res.left_inverse @ res.left == ExactMatrix.identity(m.ring, m.nrows)
     assert res.right_inverse @ res.right == ExactMatrix.identity(m.ring, m.ncols)
+
+
+# UPoly arithmetic builds its results without re-coercing coefficients; it
+# must give exactly what the coercing constructor gives on the plain values.
+
+some_upolys = st.one_of(
+    upolys,
+    st.sampled_from([UPoly(), UPoly([1]), UPoly([-1])]),
+    st.builds(UPoly.const, st.fractions(max_denominator=50)),
+)
+
+
+def _slow(values) -> UPoly:
+    return UPoly(list(values))
+
+
+def _slow_sum(a, b, sign=1):
+    n = max(len(a), len(b))
+    return _slow((a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0)
+                 for i in range(n))
+
+
+def _slow_product(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _slow(out)
+
+
+def _well_formed(p: UPoly) -> bool:
+    return (type(p) is UPoly and all(type(c) is Fraction for c in p.coeffs)
+            and (not p.coeffs or p.coeffs[-1] != 0))
+
+
+@given(some_upolys, some_upolys, st.integers(0, 4),
+       st.one_of(st.integers(-3, 3), st.fractions(max_denominator=7)))
+def test_upoly_arithmetic_matches_the_coercing_constructor(p, q, n, k):
+    a, b = list(p.coeffs), list(q.coeffs)
+    power = _slow([1])
+    for _ in range(n):
+        power = _slow_product(list(power.coeffs), a)
+    cases = [
+        (p + q, _slow_sum(a, b)),
+        (p - q, _slow_sum(a, b, -1)),
+        (-p, _slow(-c for c in a)),
+        (p * q, _slow_product(a, b)),
+        (p ** n, power),
+        (p + k, _slow_sum(a, [k])),
+        (k + p, _slow_sum(a, [k])),
+        (p - k, _slow_sum(a, [k], -1)),
+        (k - p, _slow_sum([k], a, -1)),
+        (p * k, _slow_product(a, [k])),
+        (k * p, _slow_product(a, [k])),
+    ]
+    for got, want in cases:
+        assert got.coeffs == want.coeffs
+        assert _well_formed(got)
+        if got.degree <= 0:
+            constant = got.coeffs[0] if got.coeffs else Fraction(0)
+            assert hash(got) == hash(constant) == hash(int(constant) if constant.denominator == 1
+                                                         else constant)
+            assert got == constant
+    assert p * 1 is p and 1 * p is p and p * UPoly([1]) is p
+
+
+# The Smith kernel clears an entry by its whole pseudo-quotient, in one
+# operation on its row or column.
+
+
+def test_constant_pivot_clears_a_degree_2_entry_in_one_row_operation(monkeypatch):
+    # the pivot 2 and the entry U^2 + 3U + 1: one row operation of A, plus
+    # its copy on the row of L when certified
+    m = ExactMatrix(RING_QU, [[2], [U ** 2 + 3 * U + 1]])
+    calls = []
+    combine = ring_mod._combine
+    monkeypatch.setattr(ring_mod, "_combine",
+                        lambda *args: calls.append(args) or combine(*args))
+    assert _rank_and_torsion(m) == (1, ())
+    assert len(calls) == 1
+    x, a, y, b = calls[0]
+    assert (x, a, y, b) == ({0: [1, 3, 1]}, 1, {0: [1]}, [-1, -3, -1])
+    calls.clear()
+    res = smith_normal_form(m)
+    assert len(calls) == 2
+    assert res.factors == (UPoly.const(1),) and res.verify(m)
+    assert res.left @ res.left_inverse == ExactMatrix.identity(RING_QU, 2)
+
+
+@st.composite
+def nonconstant_pivot_matrices(draw):
+    """Up to 3 x 3 matrices over Q[U] whose entries all vanish at U = 0, so
+    every pivot the elimination meets is nonconstant: dense, sparse or with
+    some entries of degree 3."""
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    entry = st.builds(lambda cs: UPoly([0] + cs), st.lists(coeff, min_size=1, max_size=3))
+    fill = draw(st.sampled_from([50, 100]))
+    return ExactMatrix(RING_QU, [[draw(entry) if draw(st.integers(0, 99)) < fill else 0
+                                  for _ in range(ncols)] for _ in range(nrows)])
+
+
+@settings(deadline=None, max_examples=80)
+@given(nonconstant_pivot_matrices())
+def test_nonconstant_pivots_match_reference_and_sympy_in_both_modes(m):
+    res = smith_normal_form(m)
+    assert all(f.degree >= 1 for f in res.factors)
+    assert res.factors == reference_smith_normal_form(m).factors == sympy_factors(m)
+    assert _rank_and_torsion(m) == (len(res.factors), res.factors)
+    assert res.verify(m)
+    assert res.left @ res.left_inverse == ExactMatrix.identity(RING_QU, m.nrows)
+    assert res.right @ res.right_inverse == ExactMatrix.identity(RING_QU, m.ncols)
+
+
+def test_transform_free_torsion_matches_certified_form_on_benchmark_draws():
+    for seed in range(50):
+        m = benchmark_qu_matrix(random.Random(seed), 4)
+        res = smith_normal_form(m)
+        assert _rank_and_torsion(m) == (
+            len(res.factors), tuple(f for f in res.factors if f.degree > 0))
