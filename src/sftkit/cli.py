@@ -30,10 +30,12 @@ EXIT_DOMAIN = 2
 
 def _emit(args, payload: dict, table_lines):
     if args.format == "machine":
+        # strict JSON: a NaN or an infinity is refused before anything prints
+        line = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
         if not getattr(args, "_header_emitted", False):
             print(MACHINE_HEADER)
             args._header_emitted = True
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(line)
     else:
         for line in table_lines:
             print(line)
@@ -319,13 +321,14 @@ def _cmd_model(args) -> int:
             lines.append(f"{r.family:<8} {r.cover:>3}{cz_cell} {g.degree:>4} "
                          f"{g.link:>4}  {g.name}")
         _emit(args, {"op": args.model_action, "rows": rows}, lines)
-    elif args.model_action == "ranks":
-        table = models.linearized_ranks(args.n, args.N)
-        payload = {"op": "ranks", "ranks": {str(k): v for k, v in table.items()}}
-        lines = [f"{'k':>3}  rank"]
-        for k in sorted(table):
-            label = {0: "0", 1: "Q", 2: "Q+Q"}[table[k]]
-            lines.append(f"{k:>3}  {label}")
+    elif args.model_action in ("ranks", "cone"):
+        if args.model_action == "ranks":
+            table, head, width = models.linearized_ranks(args.n, args.N), "k", 3
+        else:
+            table, head, width = models.surgery_cone_ranks(args.k, args.n, args.top), "deg", 4
+        payload = {"op": args.model_action, "ranks": {str(k): v for k, v in table.items()}}
+        lines = [f"{head:>{width}}  rank"]
+        lines += [f"{k:>{width}}  {('0', 'Q', 'Q+Q')[table[k]]}" for k in sorted(table)]
         _emit(args, payload, lines)
     elif args.model_action == "hc":
         res = models.hc_window(args.n)
@@ -335,13 +338,6 @@ def _cmd_model(args) -> int:
         lines = [f"rank {res.rank} at bidegree ({res.bidegree[0]}, {res.bidegree[1]})",
                  f"class {'*'.join(res.representative or ('-',))}"]
         lines += [f"bidegree ({k}, 2): rank {v}" for k, v in sorted(res.neighbor_ranks.items())]
-        _emit(args, payload, lines)
-    elif args.model_action == "cone":
-        table = models.surgery_cone_ranks(args.k, args.n, args.top)
-        payload = {"op": "cone", "ranks": {str(k): v for k, v in table.items()}}
-        lines = [f"{'deg':>4}  rank"]
-        for k in sorted(table):
-            lines.append(f"{k:>4}  {'Q' if table[k] else '0'}")
         _emit(args, payload, lines)
     elif args.model_action == "parity":
         params = models.ModelParams(n=args.n, a=args.a, N=args.N, rho=args.rho)

@@ -30,8 +30,8 @@ SUBDIVISION_LIMIT = 10**6
 Scalar = Union[int, float, Fraction]
 
 
-def _floor_guarded(x: Scalar, tol: float = INTEGER_TOL) -> int:
-    """Floor that refuses values within tol of an integer (exact ints excepted)
+def _floor_guarded(x: Scalar) -> int:
+    """Floor that refuses values within INTEGER_TOL of an integer (exact ints excepted)
     with DegeneratePath, and infinities and NaN with ValueError."""
     if isinstance(x, (int, Fraction)):
         if x == int(x):
@@ -40,8 +40,8 @@ def _floor_guarded(x: Scalar, tol: float = INTEGER_TOL) -> int:
     if not math.isfinite(x):
         raise ValueError(f"value {x} is not a finite number")
     nearest = round(x)
-    if abs(x - nearest) < tol:
-        raise DegeneratePath(f"value {x} is within {tol} of the integer {nearest}")
+    if abs(x - nearest) < INTEGER_TOL:
+        raise DegeneratePath(f"value {x} is within {INTEGER_TOL} of the integer {nearest}")
     return math.floor(x)
 
 

@@ -324,6 +324,15 @@ class Augmentation:
     values: Tuple[Tuple[str, Coeff], ...]
 
 
+def _eps_product(coeff: Coeff, letters: Sequence[str], eps: Dict[str, Coeff]) -> Coeff:
+    """coeff times the augmentation value of each letter, stopping at zero."""
+    for letter in letters:
+        coeff = coeff * eps[letter]
+        if not coeff:
+            break
+    return coeff
+
+
 def augment(dga: DGA, eps: Optional[Dict[str, Coeff]] = None) -> Augmentation:
     """Check that eps (default: zero) kills the differential and wrap it.
 
@@ -341,19 +350,9 @@ def augment(dga: DGA, eps: Optional[Dict[str, Coeff]] = None) -> Augmentation:
             )
         values[name] = c
 
-    def eps_of_element(elem: AlgebraElement) -> Coeff:
-        total = zero(dga.ring)
-        for word, coeff in elem.terms.items():
-            factor = coeff
-            for letter in word:
-                factor = factor * values[letter]
-                if not factor:
-                    break
-            total = total + factor
-        return total
-
     for name in dga.generators:
-        residue = eps_of_element(dga.d_of_generator(name))
+        residue = sum((_eps_product(coeff, word, values)
+                       for word, coeff in dga.d_of_generator(name).terms.items()), zero(dga.ring))
         if residue:
             raise NotAChainMap(name, f"eps(d {name}) = {residue} != 0")
     return Augmentation(tuple(sorted(values.items())))
@@ -460,13 +459,7 @@ def linearize(dga: DGA, aug: Augmentation) -> ChainComplex:
         out: Dict[str, Coeff] = {}
         for word, coeff in dga.d_of_generator(name).terms.items():
             for i, letter in enumerate(word):
-                factor = coeff
-                for j, other in enumerate(word):
-                    if j == i:
-                        continue
-                    factor = factor * eps[other]
-                    if not factor:
-                        break
+                factor = _eps_product(coeff, word[:i] + word[i + 1:], eps)
                 if factor:
                     out[letter] = out[letter] + factor if letter in out else factor
         return out
@@ -717,7 +710,10 @@ def dga_from_doc(doc: dict) -> DGA:
         for name, entries in differential.items():
             terms: Dict[Word, Coeff] = {}
             for entry in entries:
-                word = tuple(str(x) for x in entry["word"])
+                word = entry["word"]
+                if not isinstance(word, list):
+                    raise TypeError(f"word {word!r} in d({name}) is not a JSON list")
+                word = tuple(str(x) for x in word)
                 q = rat(str(entry["coeff"]))
                 add = coerce(ring, UPoly.monomial(operator.index(entry.get("upow", 0)), q))
                 terms[word] = terms[word] + add if word in terms else add

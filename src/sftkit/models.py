@@ -121,22 +121,11 @@ def model_orbits(params: ModelParams) -> GeneratorTable:
             f"need a >= {threshold_parameter(N, params.rho)}"
         )
     rows: List[TableRow] = []
-    k = 1
-    while 2 * k < N:
-        cz = 2 * k
-        rows.append(TableRow(
-            FAMILY_ORBIT_A, k, cz,
-            dga_mod.Generator(f"ga{k}", cz + n - 3, link=k),
-        ))
-        k += 1
-    k = 1
-    while (n - 1) + 2 * k < N:
-        cz = (n - 1) + 2 * k
-        rows.append(TableRow(
-            FAMILY_ORBIT_B, k, cz,
-            dga_mod.Generator(f"gb{k}", cz + n - 3, link=k),
-        ))
-        k += 1
+    for family, prefix, base in ((FAMILY_ORBIT_A, "ga", 0), (FAMILY_ORBIT_B, "gb", n - 1)):
+        for k in range(1, (N - base + 1) // 2):
+            cz = base + 2 * k
+            rows.append(TableRow(family, k, cz, dga_mod.Generator(
+                f"{prefix}{k}", cz + n - 3, link=k)))
     return tuple(sorted(rows, key=lambda r: (r.cz, r.family, r.cover)))
 
 
@@ -146,17 +135,11 @@ def model_chords(n: int, max_link: int) -> GeneratorTable:
         raise ValueError("the model requires n >= 4")
     _refuse_large_table("chord", 2 * max_link)
     rows: List[TableRow] = []
-    for k in range(1, max_link + 1):
-        deg_a = 2 * k - 1
-        rows.append(TableRow(
-            FAMILY_CHORD_A, k, deg_a + 1,
-            dga_mod.Generator(f"a{k}", deg_a, link=k, kind=("chord", 0, 0)),
-        ))
-        deg_b = n - 2 + 2 * k
-        rows.append(TableRow(
-            FAMILY_CHORD_B, k, deg_b + 1,
-            dga_mod.Generator(f"b{k}", deg_b, link=k, kind=("chord", 0, 0)),
-        ))
+    for family, prefix, base in ((FAMILY_CHORD_A, "a", -1), (FAMILY_CHORD_B, "b", n - 2)):
+        for k in range(1, max_link + 1):
+            deg = base + 2 * k
+            rows.append(TableRow(family, k, deg + 1, dga_mod.Generator(
+                f"{prefix}{k}", deg, link=k, kind=("chord", 0, 0))))
     return tuple(sorted(rows, key=lambda r: (r.generator.degree, r.family, r.cover)))
 
 

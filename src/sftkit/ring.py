@@ -13,7 +13,9 @@ and eliminate fraction-free over Z (rank) and Z[U] (Smith form, both rings).
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -262,6 +264,7 @@ def one(ring: str):
     return coerce(ring, 1)
 
 
+@dataclass(frozen=True, eq=False)
 class SmithResult:
     """Diagonalization L*M*R = D with unimodular L, R of ``source`` (the M).
 
@@ -271,32 +274,23 @@ class SmithResult:
     ``source`` that tracks them, and then kept.
     """
 
-    __slots__ = ("factors", "diagonal", "left", "right", "_source", "_inverses")
+    factors: tuple
+    diagonal: "ExactMatrix"
+    left: "ExactMatrix"
+    right: "ExactMatrix"
+    source: "ExactMatrix" = field(repr=False)
 
-    def __init__(self, factors: tuple, diagonal: "ExactMatrix", left: "ExactMatrix",
-                 right: "ExactMatrix", source: "ExactMatrix"):
-        for name, value in (("factors", factors), ("diagonal", diagonal), ("left", left),
-                            ("right", right), ("_source", source), ("_inverses", None)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SmithResult is immutable")
-
-    def __reduce__(self):
-        return SmithResult, (self.factors, self.diagonal, self.left, self.right, self._source)
-
-    def _inverse_pair(self) -> tuple:
-        if self._inverses is None:
-            object.__setattr__(self, "_inverses", _smith_form(self._source, inverses=True)[4:])
-        return self._inverses
+    @cached_property
+    def _inverses(self) -> tuple:
+        return _smith_form(self.source, inverses=True)[4:]
 
     @property
     def left_inverse(self) -> "ExactMatrix":
-        return self._inverse_pair()[0]
+        return self._inverses[0]
 
     @property
     def right_inverse(self) -> "ExactMatrix":
-        return self._inverse_pair()[1]
+        return self._inverses[1]
 
     def verify(self, m: "ExactMatrix") -> bool:
         return (self.left @ m) @ self.right == self.diagonal
@@ -582,7 +576,9 @@ def _smith(m: ExactMatrix, transforms: bool, inverses: bool = False):
 
     Each row is cleared of denominators (a unit scaling over Q or Q[U]).
     A pivot of least degree, on the shortest row, is chosen among the
-    unfinished rows; every other entry of its column and row is reduced by
+    unfinished rows, ties going to the least row and then column index, and
+    a pivot's row is cleared in column order, so the matrix alone decides
+    the steps; every other entry of its column and row is reduced by
     one operation line_i := (a*line_i - b*line_s)/g, where a and b(U) are
     the pseudo-quotient of the entry by the pivot (``_pquo``; for a constant
     pivot, b is the entry itself over a gcd) and g is the content of the new
@@ -639,7 +635,7 @@ def _smith(m: ExactMatrix, transforms: bool, inverses: bool = False):
         best = None
         for i in live:
             for j, p in a[i].items():
-                key = (len(p), len(a[i]))
+                key = (len(p), len(a[i]), i, j)
                 if best is None or key < best[0]:
                     best = key, i, j
         if best is None:
@@ -660,7 +656,7 @@ def _smith(m: ExactMatrix, transforms: bool, inverses: bool = False):
             p = a[r][c]
             if not transforms and all(_divides(p, x) for x in a[r].values()):
                 a[r] = {c: p}
-            for j in list(a[r]):
+            for j in sorted(a[r]):
                 if j != c and j in a[r] and len(a[r][j]) >= len(a[r][c]):
                     clear(col_op, j, c, a[r][j], a[r][c])
                 if j != c and j in a[r]:

@@ -48,6 +48,8 @@ class OrbitLabel:
             raise MalformedForest(f"orbit {self.name!r}: parity must be 0 or 1")
         if self.period < 0:
             raise MalformedForest(f"orbit {self.name!r}: period must be nonnegative")
+        if not math.isfinite(self.period):
+            raise MalformedForest(f"orbit {self.name!r}: period must be finite")
 
     def cylinder_value(self) -> int:
         """Intersection of the trivial cylinder over this orbit with the submanifold."""
@@ -224,11 +226,8 @@ def concatenate(
     if len(offsets) != len(parts):
         raise ValueError("need one level offset per part")
 
-    def vkey(i: int, vid: str) -> str:
-        return f"{i}:{vid}" if len(parts) > 1 else vid
-
-    def ekey(i: int, eid: str) -> str:
-        return f"{i}:{eid}" if len(parts) > 1 else eid
+    def key(i: int, ident: str) -> str:
+        return f"{i}:{ident}" if len(parts) > 1 else ident
 
     matched_out = {}
     matched_in = {}
@@ -259,7 +258,7 @@ def concatenate(
         for v in part.vertices.values():
             vertices.append(replace(
                 v,
-                vid=vkey(i, v.vid),
+                vid=key(i, v.vid),
                 level=(v.level[0] + offsets[i], v.level[1] + offsets[i]),
             ))
 
@@ -268,14 +267,14 @@ def concatenate(
         for e in part.edges.values():
             if (i, e.eid) in matched_in:
                 continue  # realized by its partner output edge
-            src = vkey(i, e.src) if e.src is not None else None
-            dst = vkey(i, e.dst) if e.dst is not None else None
+            src = key(i, e.src) if e.src is not None else None
+            dst = key(i, e.dst) if e.dst is not None else None
             level = e.level + offsets[i]
             if (i, e.eid) in matched_out:
                 pj, in_id = matched_out[(i, e.eid)]
                 partner = parts[pj].edges[in_id]
-                dst = vkey(pj, partner.dst) if partner.dst is not None else None
-            edges.append(replace(e, eid=ekey(i, e.eid), src=src, dst=dst, level=level))
+                dst = key(pj, partner.dst) if partner.dst is not None else None
+            edges.append(replace(e, eid=key(i, e.eid), src=src, dst=dst, level=level))
     return DecoratedForest(vertices, edges)
 
 
@@ -466,6 +465,9 @@ def forest_from_doc(doc: dict) -> DecoratedForest:
             orbit = e["orbit"]
             if not isinstance(orbit, dict):
                 raise TypeError(f"orbit of edge {e['id']!r} is not a JSON object")
+            period = orbit.get("period", 0.0)
+            if isinstance(period, bool) or not isinstance(period, (int, float)):
+                raise TypeError(f"period of edge {e['id']!r} is not a JSON number")
             edges.append(Edge(
                 eid=str(e["id"]),
                 src=None if e.get("src") is None else str(e["src"]),
@@ -475,10 +477,10 @@ def forest_from_doc(doc: dict) -> DecoratedForest:
                     name=str(orbit["name"]),
                     in_v=bool(orbit.get("in_v", False)),
                     p_n=operator.index(orbit.get("p_n", 0)),
-                    period=float(orbit.get("period", 0.0)),
+                    period=float(period),
                     link=None if orbit.get("link") is None else operator.index(orbit["link"]),
                 ),
             ))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed forest document: {exc}") from exc
     return DecoratedForest(vertices, edges)

@@ -570,6 +570,45 @@ def test_list_in_place_of_an_object_is_a_malformed_document(tmp_path, capsys, re
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("period, code, message", [
+    (float("nan"), 2, "MalformedForest: orbit 'in1': period must be finite"),
+    (float("inf"), 2, "MalformedForest: orbit 'in1': period must be finite"),
+    ("2.5", 1, "malformed forest document: period of edge 'e1' is not a JSON number"),
+    (True, 1, "malformed forest document: period of edge 'e1' is not a JSON number"),
+    (10 ** 400, 1, "malformed forest document: int too large to convert to float"),
+], ids=["NaN", "Infinity", "string", "bool", "huge-int"])
+def test_forest_period_must_be_a_finite_json_number(tmp_path, capsys, period, code, message):
+    doc = json.loads((DATA / "forest_two_level.json").read_text())
+    doc["edges"][0]["orbit"]["period"] = period
+    bad = tmp_path / "forest.json"
+    bad.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    for fmt in ("table", "machine"):
+        assert run_cli(capsys, "--format", fmt, "trees", "show", str(bad)) == (
+            code, "", f"error: {message}\n")
+
+
+def test_word_that_is_not_a_list_is_a_malformed_document(tmp_path, capsys):
+    # d z = x*y + y*x, with the first word written as the string "xy"
+    doc = json.loads((DATA / "koszul_q.json").read_text())
+    terms = doc["differential"]["z"]
+    assert terms[0]["word"] == ["x", "y"]
+    terms[0]["word"] = "xy"
+    bad = tmp_path / "koszul.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli(capsys, "dga", str(bad), "--check", "--bidegree") == (
+        1, "", "error: malformed algebra document: word 'xy' in d(z) is not a JSON list\n")
+
+
+def test_machine_output_refuses_nan_before_printing(capsys):
+    from argparse import Namespace
+
+    from sftkit.cli import _emit
+
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _emit(Namespace(format="machine"), {"value": float("nan")}, ["nan"])
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["cz", "--rotation", "1/0"],
     ["energy", "--glue", "1/0", "2"],

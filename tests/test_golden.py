@@ -156,6 +156,26 @@ def test_machine_output_matches_recording(monkeypatch):
         assert run(want["argv"]) == want, " ".join(want["argv"])
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_machine_output_is_strict_json():
+    """Every body line of the recording, which the replay above holds the
+    live output to, is one strict JSON object: ``json.loads`` would accept
+    NaN, Infinity and -Infinity, so they are refused here."""
+    from sftkit.cli import MACHINE_HEADER
+
+    lines = 0
+    for want in json.loads(GOLDEN.read_text()):
+        header, *body = want["stdout"].splitlines() or [""]
+        assert header in ("", MACHINE_HEADER), " ".join(want["argv"])
+        for line in body:
+            assert isinstance(json.loads(line, parse_constant=_refuse_constant), dict)
+            lines += 1
+    assert lines == 150
+
+
 def test_table_output_shows_recorded_torsion(monkeypatch):
     """Every recorded command exits with its recorded code in table format
     too, and each homology line of the table shows the recorded free rank and

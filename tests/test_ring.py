@@ -602,3 +602,18 @@ def test_transform_free_torsion_matches_certified_form_on_benchmark_draws():
         res = smith_normal_form(m)
         assert _rank_and_torsion(m) == (
             len(res.factors), tuple(f for f in res.factors if f.degree > 0))
+
+
+def test_smith_transforms_depend_on_the_matrix_alone(monkeypatch):
+    # an entry that an elimination step zeroes and a later one restores moves
+    # to the end of its line's dict; reversing every new line's dict shows
+    # whether pivot choice or clearing order read that history
+    rng = random.Random(1)
+    matrices = [benchmark_qu_matrix(rng, 4) for _ in range(30)]
+    plain = [smith_normal_form(m) for m in matrices]
+    combine = ring_mod._combine
+    monkeypatch.setattr(ring_mod, "_combine",
+                        lambda *args: dict(reversed(list(combine(*args).items()))))
+    for i, (m, want) in enumerate(zip(matrices, plain)):
+        got = smith_normal_form(m)
+        assert (got.factors, got.left, got.right) == (want.factors, want.left, want.right), i

@@ -402,6 +402,17 @@ def test_forest_validation():
         OrbitLabel("bad", p_n=2)
 
 
+@pytest.mark.parametrize("period, message", [
+    (float("nan"), "period must be finite"),
+    (float("inf"), "period must be finite"),
+    (float("-inf"), "period must be nonnegative"),
+    (-1.0, "period must be nonnegative"),
+], ids=["nan", "inf", "-inf", "negative"])
+def test_orbit_period_must_be_finite_and_nonnegative(period, message):
+    with pytest.raises(MalformedForest, match=message):
+        OrbitLabel("g", period=period)
+
+
 CYCLES = {
     "self-loop": ([Vertex("v", (0, 0), 0)], [Edge("e", "v", "v", OUT_V)]),
     "2-cycle": ([Vertex("v", (0, 0), 0), Vertex("w", (0, 0), 0)],
